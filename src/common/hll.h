@@ -96,6 +96,13 @@ class Sketch {
   std::vector<uint8_t> registers_;
 };
 
+// Aggregate hooks over the raw state, so a per-row update touches one
+// register instead of materializing a Sketch. AddHashToRawState needs a
+// state built by ToRawState; MergeRawStates treats an empty state as "no
+// sketch yet" and fails on a precision mismatch.
+Status AddHashToRawState(uint64_t hash, std::string* state);
+Status MergeRawStates(const std::string& other, std::string* state);
+
 }  // namespace fabric::hll
 
 #endif  // FABRIC_COMMON_HLL_H_

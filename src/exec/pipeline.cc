@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <map>
 #include <utility>
 
 #include "common/string_util.h"
@@ -442,129 +441,56 @@ bool RunFilter(const Program& program, const Row* rows, size_t block_rows,
   return true;
 }
 
-std::string GroupKey(const Row& row, const std::vector<int>& cols) {
-  std::string key;
-  for (int c : cols) {
-    key += row[c].is_null() ? std::string("\x01") : row[c].ToDisplayString();
-    key.push_back('\x02');
-  }
-  return key;
-}
-
 namespace {
 
-// Mirror of the SQL executor's AggPartial, folded with identical update
-// rules (NULL skip, double accumulation in row order, keep-first min/max
-// ties via strict comparisons, lazy UDx state init).
-struct Partial {
-  int64_t count = 0;
-  double sum = 0;
-  bool any = false;
-  Value min;
-  Value max;
-  double min_num = 0;  // cached Number(min/max) for numeric folds
-  double max_num = 0;
-  std::string udx_state;
-};
-
-bool FoldRow(const CompiledSelect& select, const Row& row, uint32_t i,
+// The typed-lane entry into the shared partial: exactly UpdateAgg on the
+// boxed lane value, without boxing numbers.
+bool FoldRow(const CompiledSelect& select, uint32_t i,
              const std::vector<EvalState>& states,
-             std::vector<Partial>* partials) {
-  for (size_t k = 0; k < select.agg_outputs.size(); ++k) {
-    const AggOutput& a = select.agg_outputs[k];
-    if (a.is_group) continue;
-    Partial& p = (*partials)[k];
-    const Lanes* lanes = nullptr;
-    if (a.arg >= 0) {
-      lanes = &select.programs[a.arg].root(states[a.arg]);
-      if (lanes->nulls[i]) continue;  // SQL aggregates skip NULLs
-    }
-    // arg < 0: the interpreter folds a synthetic non-null Int64(1) per
-    // row (COUNT(*), or any argless aggregate call).
-    p.any = true;
-    ++p.count;
-    switch (a.fn) {
-      case AggOutput::Fn::kCount:
-        break;
-      case AggOutput::Fn::kSum:
-      case AggOutput::Fn::kAvg:
-        p.sum += lanes != nullptr ? lanes->Number(i) : 1.0;
-        break;
-      case AggOutput::Fn::kMin: {
-        if (lanes != nullptr && lanes->type == DataType::kVarchar) {
-          if (p.min.is_null() ||
-              lanes->strings[i].compare(p.min.varchar_value()) < 0) {
-            p.min = lanes->Box(i);
-          }
-        } else {
-          double v = lanes != nullptr ? lanes->Number(i) : 1.0;
-          if (p.min.is_null() || v < p.min_num) {
-            p.min = lanes != nullptr ? lanes->Box(i) : Value::Int64(1);
-            p.min_num = v;
-          }
-        }
-        break;
-      }
-      case AggOutput::Fn::kMax: {
-        if (lanes != nullptr && lanes->type == DataType::kVarchar) {
-          if (p.max.is_null() ||
-              lanes->strings[i].compare(p.max.varchar_value()) > 0) {
-            p.max = lanes->Box(i);
-          }
-        } else {
-          double v = lanes != nullptr ? lanes->Number(i) : 1.0;
-          if (p.max.is_null() || v > p.max_num) {
-            p.max = lanes != nullptr ? lanes->Box(i) : Value::Int64(1);
-            p.max_num = v;
-          }
-        }
-        break;
-      }
-      case AggOutput::Fn::kUdx: {
-        if (p.udx_state.empty()) p.udx_state = a.init_state;
-        const Value v = lanes != nullptr ? lanes->Box(i) : Value::Int64(1);
-        if (!a.udx.update(v, &p.udx_state).ok()) return false;
-        break;
-      }
-    }
-  }
-  return true;
-}
-
-bool FinalizeGroup(const CompiledSelect& select, const Row& key_values,
-                   const std::vector<Partial>& partials, Row* out) {
-  out->reserve(select.agg_outputs.size());
-  for (size_t k = 0; k < select.agg_outputs.size(); ++k) {
-    const AggOutput& a = select.agg_outputs[k];
-    if (a.is_group) {
-      out->push_back(key_values[a.group_pos]);
+             std::vector<AggState>* partials) {
+  static const Value kOne = Value::Int64(1);
+  for (size_t k = 0; k < select.agg_calls.size(); ++k) {
+    const AggFunc& func = select.agg_calls[k];
+    AggState& p = (*partials)[k];
+    const int arg = select.agg_args[k];
+    if (arg < 0) {
+      // Argless calls fold the interpreter's synthetic non-null Int64(1).
+      if (!UpdateAgg(func, kOne, &p).ok()) return false;
       continue;
     }
-    const Partial& p = partials[k];
-    switch (a.fn) {
-      case AggOutput::Fn::kCount:
-        out->push_back(Value::Int64(p.count));
+    const Lanes& lanes = select.programs[arg].root(states[arg]);
+    if (lanes.nulls[i]) continue;
+    switch (func.fn) {
+      case AggFn::kCount:
+        ++p.count;
         break;
-      case AggOutput::Fn::kSum:
-        out->push_back(p.any ? Value::Float64(p.sum) : Value::Null());
+      case AggFn::kSum:
+      case AggFn::kAvg:
+        ++p.count;
+        p.sum += lanes.Number(i);
         break;
-      case AggOutput::Fn::kAvg:
-        out->push_back(p.any ? Value::Float64(p.sum / p.count)
-                             : Value::Null());
-        break;
-      case AggOutput::Fn::kMin:
-        out->push_back(p.min);
-        break;
-      case AggOutput::Fn::kMax:
-        out->push_back(p.max);
-        break;
-      case AggOutput::Fn::kUdx: {
-        auto v = a.udx.finalize(p.udx_state.empty() ? a.init_state
-                                                    : p.udx_state);
-        if (!v.ok()) return false;
-        out->push_back(std::move(*v));
+      case AggFn::kMin:
+      case AggFn::kMax: {
+        ++p.count;
+        Value& best = func.fn == AggFn::kMin ? p.min : p.max;
+        bool take = best.is_null();
+        if (!take) {
+          int c;
+          if (lanes.type == DataType::kVarchar) {
+            c = lanes.strings[i].compare(best.varchar_value());
+          } else {
+            const double x = lanes.Number(i);
+            const double y = best.NumericValue();
+            c = x < y ? -1 : (x > y ? 1 : 0);
+          }
+          take = func.fn == AggFn::kMin ? c < 0 : c > 0;
+        }
+        if (take) best = lanes.Box(i);
         break;
       }
+      case AggFn::kUdx:
+        if (!UpdateAgg(func, lanes.Box(i), &p).ok()) return false;
+        break;
     }
   }
   return true;
@@ -573,11 +499,12 @@ bool FinalizeGroup(const CompiledSelect& select, const Row& key_values,
 }  // namespace
 
 std::optional<std::vector<Row>> RunCompiledSelect(
-    const CompiledSelect& select, const std::vector<Row>& rows) {
+    const CompiledSelect& select, const std::vector<Row>& rows,
+    const SpillPolicy* spill) {
   std::vector<Row> out;
   EvalState filter_state;
   std::vector<EvalState> states(select.programs.size());
-  std::map<std::string, std::pair<Row, std::vector<Partial>>> groups;
+  Aggregator aggregator(select.agg_calls, select.group_cols, spill);
 
   int min_width = 0;
   for (int c : select.group_cols) min_width = std::max(min_width, c + 1);
@@ -629,45 +556,28 @@ std::optional<std::vector<Row>> RunCompiledSelect(
       continue;
     }
 
-    for (const AggOutput& a : select.agg_outputs) {
-      if (!a.is_group && a.arg >= 0 &&
-          !select.programs[a.arg].Eval(block, len, *active,
-                                       &states[a.arg])) {
+    for (int arg : select.agg_args) {
+      if (arg >= 0 &&
+          !select.programs[arg].Eval(block, len, *active, &states[arg])) {
         return std::nullopt;
       }
     }
     for (uint32_t i : *active) {
       const Row& row = block[i];
       if (static_cast<int>(row.size()) < min_width) return std::nullopt;
-      auto [it, inserted] = groups.try_emplace(GroupKey(row, select.group_cols));
-      if (inserted) {
-        Row& key_values = it->second.first;
-        key_values.reserve(select.group_cols.size());
-        for (int c : select.group_cols) key_values.push_back(row[c]);
-        it->second.second.resize(select.agg_outputs.size());
-      }
-      if (!FoldRow(select, row, i, states, &it->second.second)) {
+      Aggregator::Group& group = aggregator.Find(row);
+      if (!FoldRow(select, i, states, &group.states) ||
+          !aggregator.Admit().ok()) {
         return std::nullopt;
       }
     }
   }
 
   if (!select.aggregate) return out;
-
-  // Aggregate queries with no groups still return one row.
-  if (groups.empty() && select.group_cols.empty()) {
-    groups.try_emplace(
-        "", std::make_pair(Row{},
-                           std::vector<Partial>(select.agg_outputs.size())));
-  }
-  for (const auto& [key, group] : groups) {
-    Row r;
-    if (!FinalizeGroup(select, group.first, group.second, &r)) {
-      return std::nullopt;
-    }
-    out.push_back(std::move(r));
-  }
-  return out;
+  if (!aggregator.Finish(/*global_row=*/true).ok()) return std::nullopt;
+  auto grouped = aggregator.Finalize(select.agg_columns);
+  if (!grouped.ok()) return std::nullopt;
+  return std::move(*grouped);
 }
 
 }  // namespace fabric::exec

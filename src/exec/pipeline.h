@@ -21,15 +21,15 @@
 // errors. Compiled success therefore implies byte-identical output to
 // the interpreter by construction: the evaluation rules below replicate
 // the interpreter's semantics exactly (Kleene short-circuit masking,
-// numeric promotion through double, NULL-skipping aggregate folds in row
-// order, display-string group keys, std::map group ordering).
+// numeric promotion through double, and the aggregation core's fold and
+// group-order rules, exec/aggregate.h).
 
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
+#include "exec/aggregate.h"
 #include "storage/schema.h"
 #include "storage/value.h"
 
@@ -132,25 +132,6 @@ bool RunFilter(const Program& program, const storage::Row* rows,
 
 // ---------------------------------------------------------------- SELECT
 
-// Aggregate-UDx lifecycle hooks, copied from the engine's registered
-// aggregate (engine-neutral so exec depends only on storage).
-struct UdxHooks {
-  std::function<Status(const storage::Value& input, std::string* state)>
-      update;
-  std::function<Result<storage::Value>(const std::string& state)> finalize;
-};
-
-// One output of an aggregate pipeline.
-struct AggOutput {
-  enum class Fn { kCount, kSum, kAvg, kMin, kMax, kUdx };
-  bool is_group = false;
-  int group_pos = 0;  // when is_group: index into CompiledSelect.group_cols
-  Fn fn = Fn::kCount;
-  int arg = -1;  // program index; -1 = COUNT(*)
-  UdxHooks udx;
-  std::string init_state;
-};
-
 // A whole compiled SELECT body (everything between the gathered rows and
 // ORDER BY/LIMIT): filter → {projected expressions | grouped
 // aggregation}. Pure and engine-neutral, so it caches per plan
@@ -167,8 +148,12 @@ struct CompiledSelect {
   bool aggregate = false;
   std::vector<Output> outputs;
 
+  // Grouped aggregation: one AggFunc per call, folding program
+  // agg_args[i] (-1 = COUNT(*)), emitted as agg_columns.
   std::vector<int> group_cols;
-  std::vector<AggOutput> agg_outputs;
+  std::vector<AggFunc> agg_calls;
+  std::vector<int> agg_args;
+  std::vector<AggColumn> agg_columns;
 
   std::vector<Program> programs;
 };
@@ -177,15 +162,11 @@ struct CompiledSelect {
 // nullopt on bail (the caller re-runs the interpreted path, which
 // reproduces the exact result or the exact error). On success the rows
 // are byte-identical to the interpreter's: projection preserves row
-// order; aggregation folds in row order and emits groups sorted by the
-// interpreter's encoded group key.
+// order; aggregation folds in row order through the shared Aggregator
+// (spilling under `spill`) and emits groups in key order.
 std::optional<std::vector<storage::Row>> RunCompiledSelect(
-    const CompiledSelect& select, const std::vector<storage::Row>& rows);
-
-// The engines' shared group-key encoding (display string per column,
-// NULL marked distinctly) — must stay identical to the Vertica executor
-// and the Spark combiner.
-std::string GroupKey(const storage::Row& row, const std::vector<int>& cols);
+    const CompiledSelect& select, const std::vector<storage::Row>& rows,
+    const SpillPolicy* spill = nullptr);
 
 }  // namespace fabric::exec
 

@@ -196,6 +196,14 @@ Status Engine::Run() {
     process->cv_.notify_one();
     engine_cv_.wait(lock, [this] { return engine_turn_; });
     current_ = nullptr;
+    if (process->state_ == Process::State::kDone) {
+      // Join the finished body's host thread at once, so a long-lived
+      // engine does not keep one thread stack per process it ever ran.
+      // The Process itself stays: queued stale wakes still point at it.
+      lock.unlock();
+      process->thread_.join();
+      lock.lock();
+    }
   }
   // Event queue drained: every process must be done, else deadlock.
   std::string blocked;

@@ -1,12 +1,14 @@
 #include "spark/dataframe.h"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <numeric>
 #include <set>
 
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "exec/aggregate.h"
 #include "spark/shuffle/exec.h"
 #include "spark/shuffle/shuffle.h"
 #include "storage/profile.h"
@@ -139,7 +141,7 @@ Result<std::vector<Row>> Plan::Compute(TaskContext& task,
       FABRIC_RETURN_IF_ERROR(task.Compute(rows.size() *
                                           cost.spark_row_process_cpu *
                                           cost.data_scale));
-      shuffle::SpillPolicy spill = shuffle::TaskSpillPolicy(task);
+      exec::SpillPolicy spill = shuffle::TaskSpillPolicy(task);
       return shuffle::MergePartials(rows, *agg, &spill);
     }
     case Kind::kHashJoin: {
@@ -158,47 +160,27 @@ Result<std::vector<Row>> Plan::Compute(TaskContext& task,
         }
         return false;
       };
-      const double budget = task.cluster->options().task_memory_bytes;
-      if (budget <= 0) {
-        std::map<std::string, std::vector<size_t>> table;
-        for (size_t i = 0; i < left.size(); ++i) {
-          if (has_null_key(left[i], join_left_keys)) continue;
-          table[shuffle::GroupKeyOf(left[i], join_left_keys)].push_back(i);
-        }
-        std::vector<Row> out;
-        for (const Row& rrow : right) {
-          if (has_null_key(rrow, join_right_keys)) continue;
-          auto it = table.find(shuffle::GroupKeyOf(rrow, join_right_keys));
-          if (it == table.end()) continue;
-          for (size_t i : it->second) {
-            Row row = left[i];
-            row.insert(row.end(), rrow.begin(), rrow.end());
-            out.push_back(std::move(row));
-          }
-        }
-        return out;
-      }
-      // Budgeted join: multi-pass build (hybrid hash). Each pass builds
-      // as much of the left side as the budget holds and probes the full
-      // right side; on overflow the probe side is spilled once and
-      // re-read per extra pass. Matches are collected as (right, left)
-      // index pairs and sorted, which is exactly the unbudgeted output
-      // order (right-row order, left indices ascending).
-      shuffle::SpillPolicy spill = shuffle::TaskSpillPolicy(task);
-      const double right_bytes = storage::ProfileRows(right)
-                                     .ScaleBy(cost.data_scale)
-                                     .raw_bytes;
+      // Multi-pass build (hybrid hash). Each pass builds as much of the
+      // left side as the task budget holds (all of it when unlimited)
+      // and probes the full right side; on overflow the probe side is
+      // spilled once and re-read per extra pass. Matches are collected
+      // as (right, left) index pairs and sorted: right-row order, left
+      // indices ascending, however many passes ran.
+      double budget = task.cluster->options().task_memory_bytes;
+      if (budget <= 0) budget = std::numeric_limits<double>::infinity();
+      exec::SpillPolicy spill = shuffle::TaskSpillPolicy(task);
       std::vector<std::pair<size_t, size_t>> matches;
       size_t start = 0;
       int pass = 0;
       bool spilled = false;
+      double right_bytes = 0;  // billed per spill pass once spilled
       do {
         std::map<std::string, std::vector<size_t>> table;
         double resident = 0;
         size_t i = start;
         for (; i < left.size(); ++i) {
           if (has_null_key(left[i], join_left_keys)) continue;
-          std::string key = shuffle::GroupKeyOf(left[i], join_left_keys);
+          std::string key = exec::EncodeGroupKey(left[i], join_left_keys);
           resident += static_cast<double>(key.size()) + 64;
           table[std::move(key)].push_back(i);
           if (resident > budget && i + 1 < left.size()) {
@@ -213,7 +195,7 @@ Result<std::vector<Row>> Plan::Compute(TaskContext& task,
         for (size_t r = 0; r < right.size(); ++r) {
           if (has_null_key(right[r], join_right_keys)) continue;
           auto it =
-              table.find(shuffle::GroupKeyOf(right[r], join_right_keys));
+              table.find(exec::EncodeGroupKey(right[r], join_right_keys));
           if (it == table.end()) continue;
           for (size_t l : it->second) matches.emplace_back(r, l);
         }
@@ -221,6 +203,9 @@ Result<std::vector<Row>> Plan::Compute(TaskContext& task,
         ++pass;
         if (start < left.size() && !spilled) {
           spilled = true;
+          right_bytes = storage::ProfileRows(right)
+                            .ScaleBy(cost.data_scale)
+                            .raw_bytes;
           if (spill.charge_write) {
             FABRIC_RETURN_IF_ERROR(spill.charge_write(right_bytes));
           }

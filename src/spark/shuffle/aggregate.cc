@@ -1,7 +1,5 @@
 #include "spark/shuffle/aggregate.h"
 
-#include <algorithm>
-#include <map>
 #include <numeric>
 #include <utility>
 
@@ -14,250 +12,45 @@ namespace {
 using storage::Row;
 using storage::Value;
 
-// Running accumulator for one aggregate call within one group. `count`
-// is the number of non-null inputs, so "any input seen" is count > 0
-// (matching the Vertica engine's AggPartial).
-struct Partial {
-  int64_t count = 0;
-  double sum = 0;
-  Value min;
-  Value max;
-  // Sketch-call state; invalid until the first update/merge so the
-  // precision comes from the call (or the incoming partial).
-  hll::Sketch sketch;
-};
-
-Status UpdatePartial(const AggCall& call, const Row& row, Partial* p) {
-  // COUNT(*) counts rows: a synthetic non-null input per row.
-  const Value v = call.column < 0 ? Value::Int64(1) : row[call.column];
-  if (v.is_null()) return Status::OK();  // SQL aggregates skip NULLs
-  ++p->count;
+// The core aggregate function of one call. Sketch calls are raw-state
+// HLL UDx calls whose init state is the empty sketch of the call's
+// precision (validated when the plan was built).
+exec::AggFunc FuncOf(const AggCall& call) {
+  exec::AggFunc func;
   switch (call.fn) {
     case AggregateFn::kCount:
+      func.fn = exec::AggFn::kCount;
       break;
-    case AggregateFn::kApproxCountDistinct:
-    case AggregateFn::kHllSketch: {
-      if (!p->sketch.valid()) {
-        FABRIC_ASSIGN_OR_RETURN(p->sketch,
-                                hll::Sketch::Create(call.precision));
-      }
-      p->sketch.AddHash(v.DistinctHash());
-      break;
-    }
     case AggregateFn::kSum:
-    case AggregateFn::kAvg: {
-      FABRIC_ASSIGN_OR_RETURN(double d, v.AsDouble());
-      p->sum += d;
+      func.fn = exec::AggFn::kSum;
       break;
-    }
-    case AggregateFn::kMin: {
-      if (p->min.is_null()) {
-        p->min = v;
-      } else {
-        FABRIC_ASSIGN_OR_RETURN(int c, v.Compare(p->min));
-        if (c < 0) p->min = v;
-      }
-      break;
-    }
-    case AggregateFn::kMax: {
-      if (p->max.is_null()) {
-        p->max = v;
-      } else {
-        FABRIC_ASSIGN_OR_RETURN(int c, v.Compare(p->max));
-        if (c > 0) p->max = v;
-      }
-      break;
-    }
-  }
-  return Status::OK();
-}
-
-Status MergePartialInto(const Partial& in, Partial* out) {
-  out->count += in.count;
-  out->sum += in.sum;
-  if (in.sketch.valid()) {
-    if (!out->sketch.valid()) {
-      out->sketch = in.sketch;
-    } else {
-      FABRIC_RETURN_IF_ERROR(out->sketch.Merge(in.sketch));
-    }
-  }
-  if (!in.min.is_null()) {
-    if (out->min.is_null()) {
-      out->min = in.min;
-    } else {
-      FABRIC_ASSIGN_OR_RETURN(int c, in.min.Compare(out->min));
-      if (c < 0) out->min = in.min;
-    }
-  }
-  if (!in.max.is_null()) {
-    if (out->max.is_null()) {
-      out->max = in.max;
-    } else {
-      FABRIC_ASSIGN_OR_RETURN(int c, in.max.Compare(out->max));
-      if (c > 0) out->max = in.max;
-    }
-  }
-  return Status::OK();
-}
-
-Result<Value> FinalizePartial(const AggCall& call, const Partial& p) {
-  switch (call.fn) {
-    case AggregateFn::kCount:
-      return Value::Int64(p.count);
-    case AggregateFn::kSum:
-      return p.count > 0 ? Value::Float64(p.sum) : Value::Null();
     case AggregateFn::kAvg:
-      return p.count > 0 ? Value::Float64(p.sum / p.count) : Value::Null();
+      func.fn = exec::AggFn::kAvg;
+      break;
     case AggregateFn::kMin:
-      return p.min;
+      func.fn = exec::AggFn::kMin;
+      break;
     case AggregateFn::kMax:
-      return p.max;
+      func.fn = exec::AggFn::kMax;
+      break;
     case AggregateFn::kApproxCountDistinct:
-    case AggregateFn::kHllSketch: {
-      hll::Sketch sketch = p.sketch;
-      if (!sketch.valid()) {
-        // Zero non-null inputs: an empty sketch (estimate 0), matching
-        // the Vertica UDx's init-state finalize.
-        FABRIC_ASSIGN_OR_RETURN(sketch, hll::Sketch::Create(call.precision));
-      }
-      if (call.fn == AggregateFn::kApproxCountDistinct) {
-        return Value::Int64(sketch.Estimate());
-      }
-      return Value::Varchar(sketch.Serialize());
-    }
+    case AggregateFn::kHllSketch:
+      func.fn = exec::AggFn::kUdx;
+      func.hooks = exec::SketchHooks(call.fn ==
+                                     AggregateFn::kApproxCountDistinct);
+      func.init_state =
+          hll::Sketch::Create(call.precision).value().ToRawState();
+      break;
   }
-  return Value::Null();
+  return func;
 }
 
-// Serialized form of a call's sketch state for the partial row; empty
-// states serialize as the empty sketch so the reduce side can always
-// deserialize.
-Result<Value> SketchPartialValue(const AggCall& call, const Partial& p) {
-  if (p.sketch.valid()) return Value::Varchar(p.sketch.Serialize());
-  FABRIC_ASSIGN_OR_RETURN(hll::Sketch empty,
-                          hll::Sketch::Create(call.precision));
-  return Value::Varchar(empty.Serialize());
+std::vector<exec::AggFunc> FuncsOf(const AggPlan& plan) {
+  std::vector<exec::AggFunc> funcs;
+  funcs.reserve(plan.calls.size());
+  for (const AggCall& call : plan.calls) funcs.push_back(FuncOf(call));
+  return funcs;
 }
-
-// Ordered group table: encoded key -> (key values, one Partial per call).
-// std::map iteration gives the canonical sorted-by-key output order.
-using GroupMap = std::map<std::string, std::pair<Row, std::vector<Partial>>>;
-
-std::pair<Row, std::vector<Partial>>* FindOrInsertGroup(
-    GroupMap* groups, const std::string& key, const Row& row,
-    const std::vector<int>& key_columns, size_t num_calls,
-    bool* was_inserted = nullptr) {
-  auto [it, inserted] = groups->try_emplace(key);
-  if (inserted) {
-    for (int k : key_columns) it->second.first.push_back(row[k]);
-    it->second.second.resize(num_calls);
-  }
-  if (was_inserted != nullptr) *was_inserted = inserted;
-  return &it->second;
-}
-
-// Estimated resident bytes of one group entry; coarse on purpose (the
-// budget is a simulation knob, not a malloc audit).
-double GroupBytesOf(const std::string& key,
-                    const std::vector<AggCall>& calls) {
-  double bytes = static_cast<double>(key.size()) + 48;
-  for (const AggCall& call : calls) {
-    bytes += IsSketchFn(call.fn)
-                 ? 64 + static_cast<double>(1 << call.precision)
-                 : 56;
-  }
-  return bytes;
-}
-
-// FNV-1a over the encoded group key: the spill partition function
-// (shared with the Vertica executor's grace-hash aggregate).
-int SpillPartitionOf(const std::string& key, int partitions) {
-  uint64_t h = 1469598103934665603ULL;
-  for (unsigned char c : key) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return static_cast<int>(h % static_cast<uint64_t>(partitions));
-}
-
-// Grace-hash spill bookkeeping shared by the map-side combiner and the
-// reduce-side merge: groups pushed out of the resident table land in
-// per-partition runs (chronological order preserved within each run) and
-// merge back at finish time. Partitions hold disjoint key sets and the
-// final collection map is key-ordered, so spilling never changes output.
-struct SpillState {
-  const SpillPolicy* policy = nullptr;
-  std::vector<std::vector<std::pair<std::string,
-                                    std::pair<Row, std::vector<Partial>>>>>
-      runs;
-  double resident_bytes = 0;
-  bool spilled = false;
-
-  bool active() const {
-    return policy != nullptr && policy->budget_bytes > 0;
-  }
-  int partitions() const { return std::max(1, policy->partitions); }
-
-  Status SpillResident(GroupMap* groups,
-                       const std::vector<AggCall>& calls) {
-    if (groups->empty()) return Status::OK();
-    if (runs.empty()) runs.resize(partitions());
-    double bytes = 0;
-    for (auto& [key, group] : *groups) {
-      bytes += GroupBytesOf(key, calls);
-      runs[SpillPartitionOf(key, partitions())].emplace_back(
-          key, std::move(group));
-    }
-    groups->clear();
-    resident_bytes = 0;
-    spilled = true;
-    if (policy->charge_write) {
-      FABRIC_RETURN_IF_ERROR(policy->charge_write(bytes));
-    }
-    if (policy->spills != nullptr) ++*policy->spills;
-    if (policy->spilled_bytes != nullptr) *policy->spilled_bytes += bytes;
-    return Status::OK();
-  }
-
-  // Accounts a freshly inserted group and spills when over budget.
-  Status OnNewGroup(GroupMap* groups, const std::string& key,
-                    const std::vector<AggCall>& calls) {
-    resident_bytes += GroupBytesOf(key, calls);
-    if (resident_bytes > policy->budget_bytes) {
-      return SpillResident(groups, calls);
-    }
-    return Status::OK();
-  }
-
-  // Merges every run back into `groups` (which it first pushes out too,
-  // so all state flows through the runs uniformly).
-  Status Drain(GroupMap* groups, const std::vector<AggCall>& calls) {
-    if (!spilled) return Status::OK();
-    FABRIC_RETURN_IF_ERROR(SpillResident(groups, calls));
-    for (auto& run : runs) {
-      if (run.empty()) continue;
-      double bytes = 0;
-      for (auto& [key, group] : run) {
-        bytes += GroupBytesOf(key, calls);
-        auto [it, inserted] = groups->try_emplace(key);
-        if (inserted) {
-          it->second = std::move(group);
-          continue;
-        }
-        for (size_t i = 0; i < calls.size(); ++i) {
-          FABRIC_RETURN_IF_ERROR(
-              MergePartialInto(group.second[i], &it->second.second[i]));
-        }
-      }
-      run.clear();
-      if (policy->charge_read) {
-        FABRIC_RETURN_IF_ERROR(policy->charge_read(bytes));
-      }
-    }
-    return Status::OK();
-  }
-};
 
 }  // namespace
 
@@ -284,151 +77,107 @@ storage::Schema PartialSchema(const AggPlan& plan) {
 
 int PartialWidth(const AggCall& call) { return IsSketchFn(call.fn) ? 1 : 4; }
 
-std::string GroupKeyOf(const Row& row, const std::vector<int>& keys) {
-  // Same encoding as the Vertica engine's GROUP BY key: \x01 marks NULL
-  // (distinct from any display string), \x02 separates columns.
-  std::string key;
-  for (int c : keys) {
-    key += row[c].is_null() ? std::string("\x01") : row[c].ToDisplayString();
-    key.push_back('\x02');
-  }
-  return key;
-}
-
 struct Combiner::Impl {
+  explicit Impl(const AggPlan* plan, const exec::SpillPolicy* spill)
+      : plan(plan),
+        funcs(FuncsOf(*plan)),
+        aggregator(funcs, plan->keys, spill) {}
+
   const AggPlan* plan;
-  GroupMap groups;
-  SpillState spill;
+  std::vector<exec::AggFunc> funcs;
+  exec::Aggregator aggregator;
 };
 
-Combiner::Combiner(const AggPlan* plan, const SpillPolicy* spill)
-    : impl_(new Impl{plan, {}, {}}) {
-  impl_->spill.policy = spill;
-}
+Combiner::Combiner(const AggPlan* plan, const exec::SpillPolicy* spill)
+    : impl_(new Impl(plan, spill)) {}
 Combiner::~Combiner() = default;
 Combiner::Combiner(Combiner&&) noexcept = default;
 Combiner& Combiner::operator=(Combiner&&) noexcept = default;
 
 Status Combiner::Add(const Row& row) {
-  const AggPlan& plan = *impl_->plan;
-  std::string key = GroupKeyOf(row, plan.keys);
-  bool inserted = false;
-  auto* group = FindOrInsertGroup(&impl_->groups, key, row, plan.keys,
-                                  plan.calls.size(), &inserted);
-  for (size_t i = 0; i < plan.calls.size(); ++i) {
+  static const Value kOne = Value::Int64(1);  // COUNT(*) counts rows
+  const std::vector<AggCall>& calls = impl_->plan->calls;
+  exec::Aggregator::Group& group = impl_->aggregator.Find(row);
+  for (size_t i = 0; i < calls.size(); ++i) {
+    const Value& v = calls[i].column < 0 ? kOne : row[calls[i].column];
     FABRIC_RETURN_IF_ERROR(
-        UpdatePartial(plan.calls[i], row, &group->second[i]));
+        exec::UpdateAgg(impl_->funcs[i], v, &group.states[i]));
   }
-  if (inserted && impl_->spill.active()) {
-    FABRIC_RETURN_IF_ERROR(
-        impl_->spill.OnNewGroup(&impl_->groups, key, plan.calls));
-  }
-  return Status::OK();
+  return impl_->aggregator.Admit();
 }
 
 Result<std::vector<Row>> Combiner::Finish() {
-  const AggPlan& plan = *impl_->plan;
-  if (impl_->spill.active()) {
-    FABRIC_RETURN_IF_ERROR(impl_->spill.Drain(&impl_->groups, plan.calls));
-  }
+  FABRIC_RETURN_IF_ERROR(impl_->aggregator.Finish(/*global_row=*/false));
+  const std::vector<AggCall>& calls = impl_->plan->calls;
   std::vector<Row> out;
-  out.reserve(impl_->groups.size());
-  for (auto& [key, group] : impl_->groups) {
-    Row row = std::move(group.first);
-    for (size_t i = 0; i < plan.calls.size(); ++i) {
-      const AggCall& call = plan.calls[i];
-      const Partial& p = group.second[i];
-      if (IsSketchFn(call.fn)) {
-        FABRIC_ASSIGN_OR_RETURN(Value sketch, SketchPartialValue(call, p));
-        row.push_back(std::move(sketch));
+  out.reserve(impl_->aggregator.groups().size());
+  for (auto& [key, group] : impl_->aggregator.groups()) {
+    Row row = std::move(group.keys);
+    for (size_t i = 0; i < calls.size(); ++i) {
+      exec::AggState& p = group.states[i];
+      if (IsSketchFn(calls[i].fn)) {
+        // Empty states ship as the empty sketch so the reduce side can
+        // always deserialize.
+        const std::string& raw =
+            p.state.empty() ? impl_->funcs[i].init_state : p.state;
+        FABRIC_ASSIGN_OR_RETURN(hll::Sketch sketch,
+                                hll::Sketch::FromRawState(raw));
+        row.push_back(Value::Varchar(sketch.Serialize()));
         continue;
       }
       row.push_back(Value::Int64(p.count));
       row.push_back(Value::Float64(p.sum));
-      row.push_back(p.min);
-      row.push_back(p.max);
+      row.push_back(std::move(p.min));
+      row.push_back(std::move(p.max));
     }
     out.push_back(std::move(row));
   }
   return out;
 }
 
-Result<std::vector<Row>> CombineToPartials(const std::vector<Row>& rows,
-                                           const AggPlan& plan) {
-  Combiner combiner(&plan);
-  for (const Row& row : rows) {
-    FABRIC_RETURN_IF_ERROR(combiner.Add(row));
-  }
-  return combiner.Finish();
-}
-
 Result<std::vector<Row>> MergePartials(const std::vector<Row>& partials,
                                        const AggPlan& plan,
-                                       const SpillPolicy* spill) {
+                                       const exec::SpillPolicy* spill) {
   const int k = static_cast<int>(plan.keys.size());
   std::vector<int> key_positions(k);
   std::iota(key_positions.begin(), key_positions.end(), 0);
-  GroupMap groups;
-  SpillState spill_state;
-  spill_state.policy = spill;
+  const std::vector<exec::AggFunc> funcs = FuncsOf(plan);
+  exec::Aggregator aggregator(funcs, key_positions, spill);
   for (const Row& prow : partials) {
-    std::string key = GroupKeyOf(prow, key_positions);
-    bool inserted = false;
-    auto* group = FindOrInsertGroup(&groups, key, prow, key_positions,
-                                    plan.calls.size(), &inserted);
+    exec::Aggregator::Group& group = aggregator.Find(prow);
     // Partial rows have a variable per-call width (sketch calls carry a
     // single serialized-register field); walk the layout, never stride.
     int base = k;
     for (size_t i = 0; i < plan.calls.size(); ++i) {
-      const AggCall& call = plan.calls[i];
-      Partial in;
-      if (IsSketchFn(call.fn)) {
+      exec::AggState in;
+      if (IsSketchFn(plan.calls[i].fn)) {
         if (prow[base].type() != storage::DataType::kVarchar) {
           return InvalidArgumentError(
               "sketch partial field is not a serialized sketch");
         }
         FABRIC_ASSIGN_OR_RETURN(
-            in.sketch, hll::Sketch::Deserialize(prow[base].varchar_value()));
+            hll::Sketch sketch,
+            hll::Sketch::Deserialize(prow[base].varchar_value()));
+        in.state = sketch.ToRawState();
       } else {
         in.count = prow[base].int64_value();
         in.sum = prow[base + 1].float64_value();
         in.min = prow[base + 2];
         in.max = prow[base + 3];
       }
-      FABRIC_RETURN_IF_ERROR(MergePartialInto(in, &group->second[i]));
-      base += PartialWidth(call);
+      FABRIC_RETURN_IF_ERROR(exec::MergeAgg(funcs[i], in, &group.states[i]));
+      base += PartialWidth(plan.calls[i]);
     }
-    if (inserted && spill_state.active()) {
-      FABRIC_RETURN_IF_ERROR(
-          spill_state.OnNewGroup(&groups, key, plan.calls));
-    }
+    FABRIC_RETURN_IF_ERROR(aggregator.Admit());
   }
-  if (spill_state.active()) {
-    FABRIC_RETURN_IF_ERROR(spill_state.Drain(&groups, plan.calls));
+  FABRIC_RETURN_IF_ERROR(aggregator.Finish(/*global_row=*/true));
+  // Output rows: the key columns, then one finalized value per call.
+  std::vector<exec::AggColumn> columns;
+  for (int i = 0; i < k; ++i) columns.push_back({true, i});
+  for (size_t i = 0; i < funcs.size(); ++i) {
+    columns.push_back({false, static_cast<int>(i)});
   }
-  std::vector<Row> out;
-  if (groups.empty() && plan.keys.empty()) {
-    // SQL: an aggregate without GROUP BY yields one row even for empty
-    // input (COUNT 0, SUM/AVG NULL, ...).
-    Row row;
-    for (const AggCall& call : plan.calls) {
-      FABRIC_ASSIGN_OR_RETURN(Value v, FinalizePartial(call, Partial()));
-      row.push_back(std::move(v));
-    }
-    out.push_back(std::move(row));
-    return out;
-  }
-  out.reserve(groups.size());
-  for (auto& [key, group] : groups) {
-    Row row = std::move(group.first);
-    for (size_t i = 0; i < plan.calls.size(); ++i) {
-      FABRIC_ASSIGN_OR_RETURN(
-          Value v, FinalizePartial(plan.calls[i], group.second[i]));
-      row.push_back(std::move(v));
-    }
-    out.push_back(std::move(row));
-  }
-  return out;
+  return aggregator.Finalize(columns);
 }
 
 int PartitionOf(const Row& row, const std::vector<int>& keys,

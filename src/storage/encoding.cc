@@ -57,7 +57,7 @@ Status CheckTypes(DataType type, const std::vector<Value>& values) {
 
 // Key used to group equal values for RLE/dictionary. Display string is
 // unambiguous per fixed type.
-std::string GroupKey(const Value& v) {
+std::string DictionaryKey(const Value& v) {
   return v.is_null() ? std::string("\x01null") : v.ToDisplayString();
 }
 
@@ -105,7 +105,7 @@ std::string EncodeDictionary(DataType type,
   for (const Value& v : values) {
     if (v.is_null()) continue;
     auto [it, inserted] =
-        ids.emplace(GroupKey(v), static_cast<uint32_t>(dictionary.size()));
+        ids.emplace(DictionaryKey(v), static_cast<uint32_t>(dictionary.size()));
     if (inserted) dictionary.push_back(&v);
     indices.push_back(it->second);
   }

@@ -212,14 +212,6 @@ class Lowering {
   std::vector<exec::Node> nodes_;
 };
 
-exec::AggOutput::Fn BuiltinAggFn(const std::string& name) {
-  if (name == "SUM") return exec::AggOutput::Fn::kSum;
-  if (name == "AVG") return exec::AggOutput::Fn::kAvg;
-  if (name == "MIN") return exec::AggOutput::Fn::kMin;
-  if (name == "MAX") return exec::AggOutput::Fn::kMax;
-  return exec::AggOutput::Fn::kCount;
-}
-
 // Lowers one expression into `cs`, appending its program. Returns the
 // program index or -1.
 int LowerProgramInto(const sql::Expr& e, const Schema& schema,
@@ -233,6 +225,80 @@ int LowerProgramInto(const sql::Expr& e, const Schema& schema,
 }
 
 }  // namespace
+
+Result<AggregatePlan> PlanAggregate(const sql::SelectStmt& select,
+                                    const Schema& schema,
+                                    const sql::UdxResolver* udx,
+                                    const sql::AggregateUdxResolver* agg_udx) {
+  AggregatePlan plan;
+  for (const std::string& name : select.group_by) {
+    FABRIC_ASSIGN_OR_RETURN(int idx, schema.IndexOf(name));
+    plan.group_cols.push_back(idx);
+  }
+  std::vector<storage::ColumnDef> out_columns;
+  for (size_t i = 0; i < select.items.size(); ++i) {
+    const sql::SelectItem& item = select.items[i];
+    if (item.star) {
+      return InvalidArgumentError("SELECT * with aggregation");
+    }
+    const sql::Expr& e = *item.expr;
+    const std::string name = sql::SelectItemName(item, static_cast<int>(i));
+    if (e.kind == sql::Expr::Kind::kColumnRef) {
+      FABRIC_ASSIGN_OR_RETURN(int idx, schema.IndexOf(e.column));
+      auto it = std::find(plan.group_cols.begin(), plan.group_cols.end(), idx);
+      if (it == plan.group_cols.end()) {
+        return InvalidArgumentError(
+            StrCat("column '", e.column, "' not in GROUP BY"));
+      }
+      plan.columns.push_back(
+          {true, static_cast<int>(it - plan.group_cols.begin())});
+      out_columns.push_back({name, schema.column(idx).type});
+      continue;
+    }
+    exec::AggFunc func;
+    const sql::Expr* arg = e.args.empty() ? nullptr : e.args[0].get();
+    if (e.kind == sql::Expr::Kind::kCall &&
+        sql::IsAggregateFunction(e.function)) {
+      if (e.function == "SUM") func.fn = exec::AggFn::kSum;
+      if (e.function == "AVG") func.fn = exec::AggFn::kAvg;
+      if (e.function == "MIN") func.fn = exec::AggFn::kMin;
+      if (e.function == "MAX") func.fn = exec::AggFn::kMax;
+      out_columns.push_back({name, sql::InferType(e, schema)});
+    } else if (e.kind == sql::Expr::Kind::kCall && agg_udx != nullptr &&
+               *agg_udx && (*agg_udx)(e.function) != nullptr) {
+      const sql::AggregateUdx* udx_def = (*agg_udx)(e.function);
+      if (arg == nullptr) {
+        return InvalidArgumentError(
+            StrCat(e.function, " requires an argument"));
+      }
+      func.fn = exec::AggFn::kUdx;
+      func.hooks = {udx_def->update, udx_def->merge, udx_def->finalize};
+      std::vector<Value> extra;
+      for (size_t a = 1; a < e.args.size(); ++a) {
+        sql::EvalContext const_context;
+        const_context.udx = udx;
+        auto v = sql::Eval(*e.args[a], const_context);
+        if (!v.ok()) {
+          return InvalidArgumentError(
+              StrCat(e.function, " extra arguments must be constants: ",
+                     v.status().message()));
+        }
+        extra.push_back(std::move(*v));
+      }
+      FABRIC_ASSIGN_OR_RETURN(func.init_state, udx_def->init(extra));
+      out_columns.push_back({name, udx_def->output_type});
+    } else {
+      return InvalidArgumentError(
+          "aggregate queries support only group columns and simple "
+          "aggregate calls");
+    }
+    plan.columns.push_back({false, static_cast<int>(plan.calls.size())});
+    plan.calls.push_back(std::move(func));
+    plan.args.push_back(arg);
+  }
+  plan.out_schema = Schema(std::move(out_columns));
+  return plan;
+}
 
 std::optional<exec::Program> LowerExpr(const sql::Expr& expr,
                                        const Schema& schema) {
@@ -296,67 +362,19 @@ std::optional<CompiledQuery> LowerSelect(
     return q;
   }
 
-  // Aggregate body: only the interpreter's happy path compiles — group
-  // columns listed in GROUP BY and simple aggregate calls. Anything the
-  // interpreter would reject with a typed error is left to it.
-  for (const std::string& name : select.group_by) {
-    auto idx = schema.IndexOf(name);
-    if (!idx.ok()) return std::nullopt;
-    cs.group_cols.push_back(*idx);
+  // Aggregate body: only the interpreter's happy path compiles; anything
+  // it would reject with a typed error is left to it.
+  auto plan = PlanAggregate(select, schema, udx, agg_udx);
+  if (!plan.ok()) return std::nullopt;
+  for (const sql::Expr* arg : plan->args) {
+    const int p = arg == nullptr ? -1 : LowerProgramInto(*arg, schema, &cs);
+    if (arg != nullptr && p < 0) return std::nullopt;
+    cs.agg_args.push_back(p);
   }
-  for (size_t i = 0; i < select.items.size(); ++i) {
-    const sql::SelectItem& item = select.items[i];
-    if (item.star) return std::nullopt;
-    const sql::Expr& e = *item.expr;
-    exec::AggOutput agg;
-    if (e.kind == sql::Expr::Kind::kColumnRef) {
-      auto idx = schema.IndexOf(e.column);
-      if (!idx.ok()) return std::nullopt;
-      auto it = std::find(cs.group_cols.begin(), cs.group_cols.end(), *idx);
-      if (it == cs.group_cols.end()) return std::nullopt;
-      agg.is_group = true;
-      agg.group_pos = static_cast<int>(it - cs.group_cols.begin());
-      out_columns.push_back({sql::SelectItemName(item, static_cast<int>(i)),
-                             schema.column(*idx).type});
-    } else if (e.kind == sql::Expr::Kind::kCall &&
-               sql::IsAggregateFunction(e.function)) {
-      agg.fn = BuiltinAggFn(e.function);
-      if (!e.args.empty()) {
-        agg.arg = LowerProgramInto(*e.args[0], schema, &cs);
-        if (agg.arg < 0) return std::nullopt;
-      }
-      out_columns.push_back({sql::SelectItemName(item, static_cast<int>(i)),
-                             sql::InferType(e, schema)});
-    } else if (e.kind == sql::Expr::Kind::kCall && agg_udx != nullptr &&
-               *agg_udx && (*agg_udx)(e.function) != nullptr) {
-      const sql::AggregateUdx* udx_def = (*agg_udx)(e.function);
-      if (e.args.empty()) return std::nullopt;
-      agg.fn = exec::AggOutput::Fn::kUdx;
-      agg.arg = LowerProgramInto(*e.args[0], schema, &cs);
-      if (agg.arg < 0) return std::nullopt;
-      // Extra arguments are per-query constants handed to init, exactly
-      // as the interpreter evaluates them (no row context).
-      std::vector<Value> extra;
-      for (size_t a = 1; a < e.args.size(); ++a) {
-        sql::EvalContext const_context;
-        const_context.udx = udx;
-        auto v = sql::Eval(*e.args[a], const_context);
-        if (!v.ok()) return std::nullopt;
-        extra.push_back(std::move(*v));
-      }
-      auto init = udx_def->init(extra);
-      if (!init.ok()) return std::nullopt;
-      agg.init_state = std::move(*init);
-      agg.udx.update = udx_def->update;
-      agg.udx.finalize = udx_def->finalize;
-      out_columns.push_back({sql::SelectItemName(item, static_cast<int>(i)),
-                             udx_def->output_type});
-    } else {
-      return std::nullopt;
-    }
-    cs.agg_outputs.push_back(std::move(agg));
-  }
-  q.out_schema = Schema(std::move(out_columns));
+  cs.group_cols = std::move(plan->group_cols);
+  cs.agg_calls = std::move(plan->calls);
+  cs.agg_columns = std::move(plan->columns);
+  q.out_schema = std::move(plan->out_schema);
   return q;
 }
 

@@ -14,6 +14,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "exec/pipeline.h"
 #include "storage/schema.h"
@@ -29,6 +30,23 @@ struct CompiledQuery {
   exec::CompiledSelect select;
   storage::Schema out_schema;
 };
+
+// The aggregate body of a SELECT, planned once for the interpreter and
+// the compiler alike: every item must be a GROUP BY column or a simple
+// aggregate call — COUNT/SUM/AVG/MIN/MAX, or an aggregate UDx whose extra
+// arguments are constants handed to its init. Errors are the
+// interpreter's typed errors.
+struct AggregatePlan {
+  std::vector<int> group_cols;
+  std::vector<exec::AggFunc> calls;
+  std::vector<const sql::Expr*> args;  // per call; null = COUNT(*)
+  std::vector<exec::AggColumn> columns;
+  storage::Schema out_schema;
+};
+Result<AggregatePlan> PlanAggregate(const sql::SelectStmt& select,
+                                    const storage::Schema& schema,
+                                    const sql::UdxResolver* udx,
+                                    const sql::AggregateUdxResolver* agg_udx);
 
 // Lowering entry points (exposed for tests). nullopt: not compilable.
 std::optional<exec::Program> LowerExpr(const sql::Expr& expr,

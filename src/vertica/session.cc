@@ -9,6 +9,7 @@
 
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "exec/aggregate.h"
 #include "exec/pipeline.h"
 #include "obs/trace.h"
 #include "storage/profile.h"
@@ -34,113 +35,6 @@ using storage::Value;
 // hazard (Section 2.2.2) — the change is durable but the client never
 // learns it.
 constexpr double kCommitAckLatency = 0.002;
-
-// ------------------------------------------------------------ aggregates
-
-struct AggSpec {
-  enum class Kind { kCount, kSum, kAvg, kMin, kMax, kUdx };
-  Kind kind;
-  const sql::Expr* arg = nullptr;  // null for COUNT(*)
-  std::string out_name;
-  // Aggregate UDx (kind == kUdx): the registered lifecycle plus the
-  // initial state built once per query from the call's extra constant
-  // arguments (e.g. APPROXIMATE_COUNT_DISTINCT's precision).
-  const sql::AggregateUdx* udx = nullptr;
-  std::string init_state;
-};
-
-struct AggPartial {
-  int64_t count = 0;
-  double sum = 0;
-  bool any = false;
-  Value min;
-  Value max;
-  std::string udx_state;
-};
-
-Status UpdatePartial(const AggSpec& spec, const Value& v, AggPartial* p) {
-  if (v.is_null()) return Status::OK();  // SQL aggregates skip NULLs
-  p->any = true;
-  ++p->count;
-  switch (spec.kind) {
-    case AggSpec::Kind::kCount:
-      break;
-    case AggSpec::Kind::kUdx:
-      if (p->udx_state.empty()) p->udx_state = spec.init_state;
-      return spec.udx->update(v, &p->udx_state);
-    case AggSpec::Kind::kSum:
-    case AggSpec::Kind::kAvg: {
-      FABRIC_ASSIGN_OR_RETURN(double d, v.AsDouble());
-      p->sum += d;
-      break;
-    }
-    case AggSpec::Kind::kMin: {
-      if (p->min.is_null() || v.Compare(p->min).value() < 0) p->min = v;
-      break;
-    }
-    case AggSpec::Kind::kMax: {
-      if (p->max.is_null() || v.Compare(p->max).value() > 0) p->max = v;
-      break;
-    }
-  }
-  return Status::OK();
-}
-
-Result<Value> FinalizePartial(const AggSpec& spec, const AggPartial& p) {
-  switch (spec.kind) {
-    case AggSpec::Kind::kCount:
-      return Value::Int64(p.count);
-    case AggSpec::Kind::kSum:
-      return p.any ? Value::Float64(p.sum) : Value::Null();
-    case AggSpec::Kind::kAvg:
-      return p.any ? Value::Float64(p.sum / p.count) : Value::Null();
-    case AggSpec::Kind::kMin:
-      return p.min;
-    case AggSpec::Kind::kMax:
-      return p.max;
-    case AggSpec::Kind::kUdx:
-      return spec.udx->finalize(p.udx_state.empty() ? spec.init_state
-                                                    : p.udx_state);
-  }
-  return Value::Null();
-}
-
-// Combines a spilled partial into the resident one. Every aggregate the
-// executor supports is mergeable (count/sum/min/max are trivially so,
-// aggregate UDx states merge through their registered lifecycle), which
-// is what makes grace-hash spilling below exact.
-Status MergePartial(const AggSpec& spec, const AggPartial& src,
-                    AggPartial* dst) {
-  dst->count += src.count;
-  dst->sum += src.sum;
-  dst->any = dst->any || src.any;
-  if (!src.min.is_null() &&
-      (dst->min.is_null() || src.min.Compare(dst->min).value() < 0)) {
-    dst->min = src.min;
-  }
-  if (!src.max.is_null() &&
-      (dst->max.is_null() || src.max.Compare(dst->max).value() > 0)) {
-    dst->max = src.max;
-  }
-  if (spec.kind == AggSpec::Kind::kUdx && !src.udx_state.empty()) {
-    if (dst->udx_state.empty()) {
-      dst->udx_state = src.udx_state;
-    } else {
-      FABRIC_RETURN_IF_ERROR(spec.udx->merge(src.udx_state,
-                                             &dst->udx_state));
-    }
-  }
-  return Status::OK();
-}
-
-Result<AggSpec::Kind> AggKindOf(const std::string& name) {
-  if (name == "COUNT") return AggSpec::Kind::kCount;
-  if (name == "SUM") return AggSpec::Kind::kSum;
-  if (name == "AVG") return AggSpec::Kind::kAvg;
-  if (name == "MIN") return AggSpec::Kind::kMin;
-  if (name == "MAX") return AggSpec::Kind::kMax;
-  return InvalidArgumentError(StrCat("not an aggregate: ", name));
-}
 
 // ------------------------------------------------------- plan structures
 
@@ -192,15 +86,6 @@ Status ApplyOrderAndLimit(const sql::SelectStmt& select,
     result->rows.resize(select.limit);
   }
   return Status::OK();
-}
-
-std::string GroupKeyOf(const Row& row, const std::vector<int>& cols) {
-  std::string key;
-  for (int c : cols) {
-    key += row[c].is_null() ? std::string("\x01") : row[c].ToDisplayString();
-    key.push_back('\x02');
-  }
-  return key;
 }
 
 }  // namespace
@@ -1255,44 +1140,7 @@ Result<QueryResult> Session::ExecDelete(sim::Process& self,
 
 // --------------------------------------------------------------- SELECT
 
-// Memory-budget context for the aggregate path: when the admission
-// grant caps the hash table, overflowing groups spill to partitioned
-// runs on the node's local disk (grace hash) and merge back at the end.
-// The callbacks charge the simulated disk; results stay byte-identical
-// to the unbudgeted run because every partial is mergeable and the final
-// collection re-sorts by encoded group key. Declared in session.h so the
-// scan/join helpers can thread it through as a parameter.
-struct SpillEnv {
-  double budget_bytes = 0;  // 0 = unlimited (no spilling)
-  int partitions = 8;
-  std::function<Status(double bytes)> charge_write;
-  std::function<Status(double bytes)> charge_read;
-  std::function<void(double bytes, int64_t groups)> on_spill;
-};
-
 namespace {
-
-// Estimated resident size of one hash-table entry (key + partial
-// states); deliberately coarse — the budget is a simulation knob, not a
-// malloc audit.
-double GroupBytes(const std::string& key,
-                  const std::vector<AggPartial>& partials) {
-  double bytes = static_cast<double>(key.size()) + 48;
-  for (const AggPartial& p : partials) {
-    bytes += 56 + static_cast<double>(p.udx_state.size());
-  }
-  return bytes;
-}
-
-// FNV-1a over the encoded group key: the spill partition function.
-int SpillPartitionOf(const std::string& key, int partitions) {
-  uint64_t h = 1469598103934665603ULL;
-  for (unsigned char c : key) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return static_cast<int>(h % static_cast<uint64_t>(partitions));
-}
 
 // Applies a SELECT's WHERE / aggregation / projection / ORDER / LIMIT to
 // an in-memory rowset (the initiator-local part of query execution,
@@ -1303,21 +1151,45 @@ Result<QueryResult> LocalSelect(const std::vector<Row>& rows,
                                 const sql::UdxResolver* udx,
                                 const sql::AggregateUdxResolver* agg_udx,
                                 PipelineCompiler* pipeline,
-                                const SpillEnv* spill = nullptr) {
-  const bool budgeted = spill != nullptr && spill->budget_bytes > 0;
+                                const exec::SpillPolicy* spill = nullptr) {
   // Compiled fast path: a cached vectorized pipeline runs the whole
   // body (filter → project/aggregate) over row blocks. It either
   // produces exactly what the interpreter below would — same rows, same
   // order, same schema — or bails (dynamic type surprise, division by
   // zero, UDx error, uncompilable shape), in which case the interpreter
   // runs from scratch and stays authoritative for results and errors.
-  // A budgeted run skips it: the compiled aggregate cannot spill.
-  if (pipeline != nullptr && pipeline->enabled() && !budgeted) {
+  if (pipeline != nullptr && pipeline->enabled()) {
     std::shared_ptr<const CompiledQuery> compiled =
         pipeline->GetOrCompileSelect(select, schema, udx, agg_udx);
     if (compiled != nullptr) {
-      auto compiled_rows = exec::RunCompiledSelect(compiled->select, rows);
+      // While the compiled run may still bail, its spill charges are
+      // recorded, not billed, and replayed in order on success only: a
+      // bail leaves no disk charge, trace event or WM report behind, and
+      // since folding takes no virtual time the replay keeps the
+      // interpreter's schedule.
+      std::vector<std::function<Status()>> charges;
+      exec::SpillPolicy deferred;
+      if (spill != nullptr) {
+        auto record = [&charges](const std::function<Status(double)>& bill) {
+          return [&charges, &bill](double bytes) {
+            charges.push_back([&bill, bytes] { return bill(bytes); });
+            return Status::OK();
+          };
+        };
+        deferred.budget_bytes = spill->budget_bytes;
+        deferred.charge_write = record(spill->charge_write);
+        deferred.charge_read = record(spill->charge_read);
+        deferred.on_spill = [&charges, spill](double bytes, int64_t groups) {
+          charges.push_back([spill, bytes, groups] {
+            spill->on_spill(bytes, groups);
+            return Status::OK();
+          });
+        };
+      }
+      auto compiled_rows =
+          exec::RunCompiledSelect(compiled->select, rows, &deferred);
       if (compiled_rows.has_value()) {
+        for (const auto& charge : charges) FABRIC_RETURN_IF_ERROR(charge());
         QueryResult result;
         result.schema = compiled->out_schema;
         result.rows = std::move(*compiled_rows);
@@ -1396,206 +1268,29 @@ Result<QueryResult> LocalSelect(const std::vector<Row>& rows,
   }
 
   // Aggregate path: items must be group-by columns or aggregate calls.
-  std::vector<int> group_cols;
-  for (const std::string& name : select.group_by) {
-    FABRIC_ASSIGN_OR_RETURN(int idx, schema.IndexOf(name));
-    group_cols.push_back(idx);
-  }
-  struct OutItem {
-    bool is_group = false;
-    int group_pos = 0;           // index into group_cols
-    AggSpec agg;                 // when !is_group
-  };
-  std::vector<OutItem> out_items;
-  std::vector<storage::ColumnDef> out_columns;
-  for (size_t i = 0; i < select.items.size(); ++i) {
-    const sql::SelectItem& item = select.items[i];
-    if (item.star) {
-      return InvalidArgumentError("SELECT * with aggregation");
-    }
-    const sql::Expr& e = *item.expr;
-    OutItem out;
-    if (e.kind == sql::Expr::Kind::kColumnRef) {
-      FABRIC_ASSIGN_OR_RETURN(int idx, schema.IndexOf(e.column));
-      auto it = std::find(group_cols.begin(), group_cols.end(), idx);
-      if (it == group_cols.end()) {
-        return InvalidArgumentError(
-            StrCat("column '", e.column, "' not in GROUP BY"));
-      }
-      out.is_group = true;
-      out.group_pos = static_cast<int>(it - group_cols.begin());
-      out_columns.push_back({ItemName(item, static_cast<int>(i)),
-                             schema.column(idx).type});
-    } else if (e.kind == sql::Expr::Kind::kCall &&
-               sql::IsAggregateFunction(e.function)) {
-      FABRIC_ASSIGN_OR_RETURN(out.agg.kind, AggKindOf(e.function));
-      out.agg.arg = e.args.empty() ? nullptr : e.args[0].get();
-      out_columns.push_back({ItemName(item, static_cast<int>(i)),
-                             InferType(e, schema)});
-    } else if (e.kind == sql::Expr::Kind::kCall && agg_udx != nullptr &&
-               *agg_udx && (*agg_udx)(e.function) != nullptr) {
-      // Aggregate UDx call: first argument is the aggregated expression,
-      // the rest must be constants handed to init (e.g. the precision).
-      const sql::AggregateUdx* udx_def = (*agg_udx)(e.function);
-      if (e.args.empty()) {
-        return InvalidArgumentError(
-            StrCat(e.function, " requires an argument"));
-      }
-      out.agg.kind = AggSpec::Kind::kUdx;
-      out.agg.udx = udx_def;
-      out.agg.arg = e.args[0].get();
-      std::vector<Value> extra;
-      for (size_t a = 1; a < e.args.size(); ++a) {
-        sql::EvalContext const_context;
-        const_context.udx = udx;
-        auto v = sql::Eval(*e.args[a], const_context);
-        if (!v.ok()) {
-          return InvalidArgumentError(
-              StrCat(e.function, " extra arguments must be constants: ",
-                     v.status().message()));
-        }
-        extra.push_back(std::move(*v));
-      }
-      FABRIC_ASSIGN_OR_RETURN(out.agg.init_state, udx_def->init(extra));
-      out_columns.push_back({ItemName(item, static_cast<int>(i)),
-                             udx_def->output_type});
-    } else {
-      return InvalidArgumentError(
-          "aggregate queries support only group columns and simple "
-          "aggregate calls");
-    }
-    out_items.push_back(std::move(out));
-  }
-  result.schema = Schema(std::move(out_columns));
-
-  std::map<std::string, std::pair<Row, std::vector<AggPartial>>> groups;
-  // Grace-hash spill state: partitioned runs of (key, key values,
-  // partials) pushed out whenever the resident table exceeds the grant.
-  struct SpilledGroup {
-    std::string key;
-    Row key_values;
-    std::vector<AggPartial> partials;
-  };
-  const int spill_partitions =
-      budgeted ? std::max(1, spill->partitions) : 1;
-  std::vector<std::vector<SpilledGroup>> runs(
-      budgeted ? spill_partitions : 0);
-  double resident_bytes = 0;
-  auto spill_resident = [&]() -> Status {
-    if (groups.empty()) return Status::OK();
-    double bytes = 0;
-    int64_t spilled = static_cast<int64_t>(groups.size());
-    for (auto& [key, group] : groups) {
-      bytes += GroupBytes(key, group.second);
-      int p = SpillPartitionOf(key, spill_partitions);
-      runs[p].push_back(SpilledGroup{key, std::move(group.first),
-                                     std::move(group.second)});
-    }
-    groups.clear();
-    resident_bytes = 0;
-    if (spill->charge_write) {
-      FABRIC_RETURN_IF_ERROR(spill->charge_write(bytes));
-    }
-    if (spill->on_spill) spill->on_spill(bytes, spilled);
-    return Status::OK();
-  };
+  FABRIC_ASSIGN_OR_RETURN(AggregatePlan plan,
+                          PlanAggregate(select, schema, udx, agg_udx));
+  exec::Aggregator aggregator(plan.calls, plan.group_cols, spill);
   for (const Row* row : filtered) {
-    Row key_values;
-    for (int c : group_cols) key_values.push_back((*row)[c]);
-    std::string key = GroupKeyOf(*row, group_cols);
-    auto [it, inserted] = groups.try_emplace(
-        key, std::make_pair(std::move(key_values),
-                            std::vector<AggPartial>(out_items.size())));
-    auto& partials = it->second.second;
-    for (size_t i = 0; i < out_items.size(); ++i) {
-      if (out_items[i].is_group) continue;
+    exec::Aggregator::Group& group = aggregator.Find(*row);
+    for (size_t i = 0; i < plan.calls.size(); ++i) {
       Value v = Value::Int64(1);  // COUNT(*) counts rows
-      if (out_items[i].agg.arg != nullptr) {
+      if (plan.args[i] != nullptr) {
         sql::EvalContext context;
         context.schema = &schema;
         context.row = row;
         context.udx = udx;
         context.aggregate_udx = agg_udx;
-        FABRIC_ASSIGN_OR_RETURN(v, sql::Eval(*out_items[i].agg.arg,
-                                             context));
+        FABRIC_ASSIGN_OR_RETURN(v, sql::Eval(*plan.args[i], context));
       }
-      FABRIC_RETURN_IF_ERROR(UpdatePartial(out_items[i].agg, v,
-                                           &partials[i]));
+      FABRIC_RETURN_IF_ERROR(
+          exec::UpdateAgg(plan.calls[i], v, &group.states[i]));
     }
-    if (budgeted && inserted) {
-      resident_bytes += GroupBytes(it->first, partials);
-      if (resident_bytes > spill->budget_bytes) {
-        FABRIC_RETURN_IF_ERROR(spill_resident());
-      }
-    }
+    FABRIC_RETURN_IF_ERROR(aggregator.Admit());
   }
-  // Aggregate queries with no groups still return one row.
-  if (groups.empty() && group_cols.empty() &&
-      (runs.empty() ||
-       std::all_of(runs.begin(), runs.end(),
-                   [](const std::vector<SpilledGroup>& r) {
-                     return r.empty();
-                   }))) {
-    groups.try_emplace("", std::make_pair(
-                               Row{},
-                               std::vector<AggPartial>(out_items.size())));
-  }
-  bool any_spilled =
-      !runs.empty() &&
-      std::any_of(runs.begin(), runs.end(),
-                  [](const std::vector<SpilledGroup>& r) {
-                    return !r.empty();
-                  });
-  if (any_spilled) {
-    // Merge phase: push the resident remainder out too, then rebuild
-    // each partition in turn. Partitions hold disjoint key sets and the
-    // final collection map is ordered by encoded key — exactly the
-    // iteration order of the unbudgeted hash table — so the output is
-    // byte-identical to the in-memory run (modulo float-sum rounding,
-    // which integer-valued data does not exercise).
-    FABRIC_RETURN_IF_ERROR(spill_resident());
-    std::map<std::string, std::pair<Row, std::vector<AggPartial>>> merged;
-    for (int p = 0; p < spill_partitions; ++p) {
-      if (runs[p].empty()) continue;
-      double bytes = 0;
-      std::map<std::string, std::pair<Row, std::vector<AggPartial>>> part;
-      for (SpilledGroup& sg : runs[p]) {
-        bytes += GroupBytes(sg.key, sg.partials);
-        auto [it, inserted] = part.try_emplace(
-            sg.key, std::make_pair(std::move(sg.key_values),
-                                   std::vector<AggPartial>()));
-        if (inserted) {
-          it->second.second = std::move(sg.partials);
-          continue;
-        }
-        for (size_t i = 0; i < out_items.size(); ++i) {
-          if (out_items[i].is_group) continue;
-          FABRIC_RETURN_IF_ERROR(MergePartial(
-              out_items[i].agg, sg.partials[i], &it->second.second[i]));
-        }
-      }
-      if (spill->charge_read) {
-        FABRIC_RETURN_IF_ERROR(spill->charge_read(bytes));
-      }
-      for (auto& [key, group] : part) {
-        merged.try_emplace(key, std::move(group));
-      }
-    }
-    groups = std::move(merged);
-  }
-  for (auto& [key, group] : groups) {
-    Row out;
-    for (size_t i = 0; i < out_items.size(); ++i) {
-      if (out_items[i].is_group) {
-        out.push_back(group.first[out_items[i].group_pos]);
-      } else {
-        FABRIC_ASSIGN_OR_RETURN(
-            Value v, FinalizePartial(out_items[i].agg, group.second[i]));
-        out.push_back(std::move(v));
-      }
-    }
-    result.rows.push_back(std::move(out));
-  }
+  FABRIC_RETURN_IF_ERROR(aggregator.Finish(/*global_row=*/true));
+  result.schema = std::move(plan.out_schema);
+  FABRIC_ASSIGN_OR_RETURN(result.rows, aggregator.Finalize(plan.columns));
   FABRIC_RETURN_IF_ERROR(ApplyOrderAndLimit(select, &result));
   return result;
 }
@@ -1963,8 +1658,8 @@ Result<QueryResult> Session::ExecSelect(sim::Process& self,
   // aggregate hash table spills partitioned runs to the initiator's
   // local disk and merges them back (grace hash), byte-identical to the
   // unbudgeted run.
-  SpillEnv spill_env;
-  const SpillEnv* spill = nullptr;
+  exec::SpillPolicy spill_policy;
+  const exec::SpillPolicy* spill = nullptr;
   if (wm_grant_.valid() && wm_grant_.memory > 0) {
     auto charge_disk = [this, &self](double bytes) -> Status {
       const net::Host& host = db_->node_host(node_);
@@ -1973,16 +1668,16 @@ Result<QueryResult> Session::ExecSelect(sim::Process& self,
       }
       return self.Sleep(bytes / db_->cost().disk_read_bandwidth);
     };
-    spill_env.budget_bytes = wm_grant_.memory;
-    spill_env.charge_write = charge_disk;
-    spill_env.charge_read = charge_disk;
-    spill_env.on_spill = [this](double bytes, int64_t spilled_groups) {
+    spill_policy.budget_bytes = wm_grant_.memory;
+    spill_policy.charge_write = charge_disk;
+    spill_policy.charge_read = charge_disk;
+    spill_policy.on_spill = [this](double bytes, int64_t spilled_groups) {
       db_->workload_manager()->ReportSpill(wm_grant_, bytes);
       obs::IncrCounter("sql.agg_spills");
       obs::IncrCounter("sql.agg_spill_groups",
                        static_cast<double>(spilled_groups));
     };
-    spill = &spill_env;
+    spill = &spill_policy;
   }
 
   // Aggregates (builtin or UDx) cannot be evaluated per row, so a WHERE
@@ -2149,7 +1844,7 @@ Result<projections::PlanChoice> Session::ResolveScanPlan(
 Result<QueryResult> Session::ExecScanSelect(
     sim::Process& self, const sql::SelectStmt& select, const TableDef* def,
     const projections::PlanChoice& plan, bool to_client,
-    const SpillEnv* spill) {
+    const exec::SpillPolicy* spill) {
   const CostModel& cost = db_->cost();
   const sql::UdxResolver* udx = &db_->udx_resolver();
   const sql::AggregateUdxResolver* agg_udx = &db_->aggregate_udx_resolver();
@@ -2456,7 +2151,7 @@ Result<QueryResult> Session::ExecScanSelect(
             if (state->aggregate) {
               std::set<std::string> group_keys;
               for (const Row& row : passed) {
-                group_keys.insert(GroupKeyOf(row, state->group_cols));
+                group_keys.insert(exec::EncodeGroupKey(row, state->group_cols));
               }
               produced.rows = static_cast<double>(
                   std::max<size_t>(group_keys.size(), 1));
@@ -2755,7 +2450,7 @@ Result<std::optional<JoinQueryPlan>> Session::PlanJoinQuery(
 Result<QueryResult> Session::ExecJoin(sim::Process& self,
                                       const sql::SelectStmt& select,
                                       bool to_client, int view_depth,
-                                      const SpillEnv* spill) {
+                                      const exec::SpillPolicy* spill) {
   const CostModel& cost = db_->cost();
   const sql::UdxResolver* udx = &db_->udx_resolver();
   const sql::AggregateUdxResolver* agg_udx = &db_->aggregate_udx_resolver();

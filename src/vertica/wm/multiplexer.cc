@@ -29,17 +29,25 @@ void Multiplexer::Launch() {
     ready_.push(Entry{specs_[i].start, static_cast<int>(i), 0});
   }
   std::sort(sorted_starts_.begin(), sorted_starts_.end());
-  int lanes = std::max(1, options_.lanes);
-  for (int lane = 0; lane < lanes; ++lane) {
+  live_lanes_ = std::max(1, options_.lanes);
+  for (int lane = 0; lane < live_lanes_; ++lane) {
     engine_->Spawn(StrCat(options_.name, ":lane", lane),
-                   [this](sim::Process& self) { LaneBody(self); });
+                   [this](sim::Process& self) {
+                     LaneBody(self);
+                     // Only engine teardown kills lanes, and then the
+                     // multiplexer may already be gone.
+                     if (self.killed()) return;
+                     --live_lanes_;
+                     work_.NotifyAll();
+                   });
   }
 }
 
 Status Multiplexer::Join(sim::Process& self) {
   FABRIC_CHECK(launched_) << "Join before Launch";
-  return work_.WaitUntil(
-      self, [this] { return finished_ == stats_.sessions; });
+  return work_.WaitUntil(self, [this] {
+    return finished_ == stats_.sessions && live_lanes_ == 0;
+  });
 }
 
 void Multiplexer::UpdatePeak(double now) {

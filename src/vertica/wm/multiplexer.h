@@ -65,9 +65,10 @@ class Multiplexer {
   // and its status recorded.
   void Launch();
 
-  // Blocks `self` until every session has finished or been aborted.
-  // Call from a process that is not one of the lanes (e.g. the bench
-  // driver) after Launch.
+  // Blocks `self` until every session has finished or been aborted and
+  // every lane has exited, so the multiplexer may be destroyed once it
+  // returns. Call from a process that is not one of the lanes (e.g. the
+  // bench driver) after Launch.
   Status Join(sim::Process& self);
 
   const Stats& stats() const { return stats_; }
@@ -99,6 +100,7 @@ class Multiplexer {
   sim::Condition work_;
   std::vector<double> sorted_starts_;  // computed at Launch
   int finished_ = 0;
+  int live_lanes_ = 0;
   Stats stats_;
   bool launched_ = false;
 };

@@ -1,9 +1,11 @@
+#include <fstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
+#include "common/string_util.h"
 #include "sim/engine.h"
 #include "sim/waitable.h"
 
@@ -141,6 +143,32 @@ TEST(EngineTest, StepLimitAborts) {
   });
   Status status = engine.Run();
   EXPECT_EQ(status.code(), StatusCode::kInternal);
+}
+
+int MappedRegions() {
+  std::ifstream maps("/proc/self/maps");
+  std::string line;
+  int regions = 0;
+  while (std::getline(maps, line)) ++regions;
+  return regions;
+}
+
+// A finished process's host thread is joined during Run, not at engine
+// teardown: otherwise a long-lived engine keeps one thread stack mapped
+// per process it ever ran.
+TEST(EngineTest, FinishedProcessesReleaseTheirThreads) {
+  Engine engine;
+  const int before = MappedRegions();
+  engine.Spawn("driver", [](Process& self) {
+    for (int i = 0; i < 2000; ++i) {
+      self.engine().Spawn(StrCat("short-", i), [](Process& child) {
+        EXPECT_TRUE(child.Sleep(0.001).ok());
+      });
+      ASSERT_TRUE(self.Sleep(0.01).ok());
+    }
+  });
+  ASSERT_TRUE(engine.Run().ok());
+  EXPECT_LT(MappedRegions() - before, 100);
 }
 
 TEST(ConditionTest, NotifyAllWakesEveryWaiter) {

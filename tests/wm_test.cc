@@ -54,12 +54,12 @@ std::string RowsToString(const std::vector<Row>& rows) {
   return out;
 }
 
-// Event fingerprint without "wm"-category events and without tracer
-// sequence numbers (wm events consume seqs, shifting later events').
-std::string NonWmEvents(const obs::Tracer& tracer) {
+// Event fingerprint without tracer sequence numbers (wm events consume
+// seqs, shifting later events'), optionally without "wm"-category events.
+std::string EventFingerprint(const obs::Tracer& tracer, bool include_wm) {
   std::string out;
   for (const obs::Event& event : tracer.events()) {
-    if (event.category == "wm") continue;
+    if (!include_wm && event.category == "wm") continue;
     out += StrCat(event.time, "|", static_cast<int>(event.phase), "|",
                   event.category, "|", event.name);
     for (const obs::Attr& attr : event.attrs) {
@@ -68,6 +68,10 @@ std::string NonWmEvents(const obs::Tracer& tracer) {
     out += "\n";
   }
   return out;
+}
+
+std::string NonWmEvents(const obs::Tracer& tracer) {
+  return EventFingerprint(tracer, /*include_wm=*/false);
 }
 
 int64_t WmEventCount(const obs::Tracer& tracer) {
@@ -436,14 +440,32 @@ TEST(WorkloadTraceIdentityTest, UncontendedWmMatchesWmOffByteForByte) {
 // hash table's footprint: the aggregate must complete by spilling
 // partitions to simulated local disk, byte-identical to the in-memory
 // run.
+// What a spill run leaves besides its rows: the compiled-pipeline count,
+// the final virtual time and every trace event.
+struct SpillWitness {
+  double compiled = 0;
+  double virtual_s = 0;
+  std::string events;
+};
+
+void Witness(const sim::Engine& engine, const obs::Tracer& tracer,
+             SpillWitness* witness) {
+  if (witness == nullptr) return;
+  witness->compiled = tracer.metrics().counter("sql.compiled_pipelines");
+  witness->virtual_s = engine.now();
+  witness->events = EventFingerprint(tracer, /*include_wm=*/true);
+}
+
 TEST(SpillIdentityTest, SqlGroupBySpillsByteIdentically) {
-  auto run = [](bool tiny_grant, double* spills_out) {
+  auto run = [](bool tiny_grant, double* spills_out, bool compile = true,
+                SpillWitness* witness = nullptr) {
     sim::Engine engine;
     obs::Tracer tracer([&engine] { return engine.now(); });
     obs::ScopedTracer install(&tracer);
     net::Network network(&engine);
     Database::Options vopts;
     vopts.num_nodes = 2;
+    vopts.compile_pipelines = compile;
     if (tiny_grant) {
       PoolConfig tiny = MakePool("tiny");
       tiny.query_memory = 400;
@@ -479,6 +501,7 @@ TEST(SpillIdentityTest, SqlGroupBySpillsByteIdentically) {
     });
     EXPECT_TRUE(engine.Run().ok());
     *spills_out = tracer.metrics().counter("wm.spills");
+    Witness(engine, tracer, witness);
     return rows;
   };
   double spills_off = 0, spills_on = 0;
@@ -488,6 +511,91 @@ TEST(SpillIdentityTest, SqlGroupBySpillsByteIdentically) {
   EXPECT_NE(rows_on, "");
   EXPECT_EQ(spills_off, 0);
   EXPECT_GT(spills_on, 0) << "tiny grant did not force spilling";
+
+  // The budgeted GROUP BY runs compiled and spills through the same
+  // aggregation core as the interpreter: same rows, same virtual time,
+  // same trace — spill charges and WM reports included.
+  SpillWitness compiled, interpreted;
+  double spills_compiled = 0, spills_interpreted = 0;
+  std::string rows_compiled =
+      run(true, &spills_compiled, /*compile=*/true, &compiled);
+  std::string rows_interpreted =
+      run(true, &spills_interpreted, /*compile=*/false, &interpreted);
+  EXPECT_GT(compiled.compiled, 0) << "budgeted GROUP BY did not compile";
+  EXPECT_GT(spills_compiled, 0);
+  EXPECT_EQ(interpreted.compiled, 0);
+  EXPECT_EQ(rows_compiled, rows_interpreted);
+  EXPECT_EQ(spills_compiled, spills_interpreted);
+  EXPECT_EQ(compiled.virtual_s, interpreted.virtual_s);
+  EXPECT_EQ(compiled.events, interpreted.events);
+}
+
+// A compiled GROUP BY that spills and then bails (a division by zero in
+// a late block) bills none of its spills: the interpreter's rerun
+// returns its error, and virtual time and trace equal an interpreted
+// run's, so no spill was billed twice.
+TEST(SpillIdentityTest, SqlGroupBySpillThenBailBillsOnce) {
+  auto run = [](bool compile, double* spills_out, double* fallbacks_out,
+                SpillWitness* witness) {
+    sim::Engine engine;
+    obs::Tracer tracer([&engine] { return engine.now(); });
+    obs::ScopedTracer install(&tracer);
+    net::Network network(&engine);
+    Database::Options vopts;
+    vopts.num_nodes = 1;
+    vopts.compile_pipelines = compile;
+    PoolConfig tiny = MakePool("tiny");
+    tiny.query_memory = 400;
+    vopts.workload.pools.push_back(tiny);
+    Database db(&engine, &network, vopts);
+    std::string outcome;
+    engine.Spawn("driver", [&](sim::Process& driver) {
+      auto session = db.Connect(driver, 0, nullptr);
+      ASSERT_TRUE(session.ok());
+      (*session)->set_resource_pool("tiny");
+      ASSERT_TRUE((*session)
+                      ->Execute(driver,
+                                "CREATE TABLE ratios (g INTEGER, a INTEGER, "
+                                "b INTEGER)")
+                      .ok());
+      // Every group appears in the first 1024-row block; the zero
+      // divisor sits in the last block.
+      std::string values;
+      for (int i = 0; i < 3000; ++i) {
+        values += StrCat(i ? ", " : "", "(", i % 97, ", ", i, ", ",
+                         i == 2999 ? 0 : 1 + i % 7, ")");
+      }
+      ASSERT_TRUE(
+          (*session)
+              ->Execute(driver, StrCat("INSERT INTO ratios VALUES ", values))
+              .ok());
+      auto grouped = (*session)->Execute(
+          driver, "SELECT g, COUNT(*), SUM(a / b) FROM ratios GROUP BY g");
+      outcome = grouped.ok() ? RowsToString(grouped->rows)
+                             : grouped.status().ToString();
+    });
+    EXPECT_TRUE(engine.Run().ok());
+    *spills_out = tracer.metrics().counter("wm.spills");
+    *fallbacks_out = tracer.metrics().counter("sql.interpreted_fallbacks");
+    Witness(engine, tracer, witness);
+    return outcome;
+  };
+  SpillWitness compiled, interpreted;
+  double spills_compiled = 0, spills_interpreted = 0;
+  double fallbacks_compiled = 0, fallbacks_interpreted = 0;
+  std::string error_compiled =
+      run(true, &spills_compiled, &fallbacks_compiled, &compiled);
+  std::string error_interpreted =
+      run(false, &spills_interpreted, &fallbacks_interpreted, &interpreted);
+  EXPECT_NE(error_interpreted.find("division by zero"), std::string::npos)
+      << error_interpreted;
+  EXPECT_EQ(error_compiled, error_interpreted);
+  EXPECT_GT(fallbacks_compiled, 0) << "the compiled run did not bail";
+  EXPECT_EQ(compiled.compiled, 0);
+  EXPECT_GT(spills_interpreted, 0) << "the interpreter did not spill";
+  EXPECT_EQ(spills_compiled, spills_interpreted);
+  EXPECT_EQ(compiled.virtual_s, interpreted.virtual_s);
+  EXPECT_EQ(compiled.events, interpreted.events);
 }
 
 // The shuffle engine's hash aggregate and hash join under a tiny task
