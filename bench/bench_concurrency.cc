@@ -1,8 +1,9 @@
 // Workload management under mixed-tenant concurrency. A BigBench-style
 // mix of query classes — short dashboard SQL, V2S grouped aggregates,
-// S2V loads — is driven as thousands of concurrent logical sessions
-// (wm::Multiplexer) against one fabric, each class tagged to its own
-// resource pool. Four configurations sweep the admission story:
+// S2V loads — is driven as thousands of concurrent client sessions, one
+// sim process each, against one fabric, each class tagged to its own
+// resource pool; --lanes sizes the client connection pool they share.
+// Four configurations sweep the admission story:
 //
 //   wm off            legacy flat semaphore (the pre-WM database)
 //   wm on             etl/dashboard/adhoc pools with priorities,
@@ -28,7 +29,7 @@
 
 #include "bench/bench_common.h"
 #include "connector/failover.h"
-#include "vertica/wm/multiplexer.h"
+#include "sim/waitable.h"
 
 namespace {
 
@@ -40,7 +41,6 @@ using fabric::storage::DataType;
 using fabric::storage::Row;
 using fabric::storage::Schema;
 using fabric::storage::Value;
-using fabric::vertica::wm::Multiplexer;
 using fabric::vertica::wm::PoolConfig;
 using fabric::vertica::wm::WorkloadConfig;
 
@@ -48,7 +48,7 @@ constexpr int kTenantsPerPool = 4;
 
 // The three-pool topology every WM-on configuration uses. Capacities are
 // per node and deliberately small relative to the session count, so the
-// admission queues (not the lane pool) shape the run.
+// admission queues (not the connection pool) shape the run.
 WorkloadConfig ThreePools(double query_memory) {
   WorkloadConfig config;
   PoolConfig general;
@@ -116,9 +116,8 @@ double JainIndex(const std::vector<int64_t>& per_tenant) {
   return sum * sum / (static_cast<double>(per_tenant.size()) * sum_sq);
 }
 
-// Per-class outcome accumulators, indexed by logical session id within
-// the class. The sim engine interleaves lane processes cooperatively,
-// so plain vectors are safe.
+// Per-class outcome accumulators. Sim processes run one at a time on the
+// engine's host thread, so plain vectors are safe.
 struct ClassStats {
   std::string name;
   std::string pool;
@@ -168,6 +167,61 @@ void StageFacts(Fabric& fabric, fabric::sim::Process& driver) {
   FABRIC_CHECK_OK((*session)->Close(driver));
 }
 
+// One logical session's statement for query class `cls`.
+Status RunSession(Fabric& fabric, fabric::sim::Process& self, int cls,
+                  int i) {
+  if (cls == 0) {
+    // Short dashboard SQL: one grouped aggregate over the shared fact
+    // table, entry node spread across the ring.
+    auto session = fabric::connector::ConnectWithFailover(
+        self, fabric.db(), i % fabric.db()->num_nodes(), nullptr);
+    if (!session.ok()) return session.status();
+    (*session)->set_resource_pool("dashboard");
+    Status status = (*session)
+                        ->Execute(self,
+                                  "SELECT region, COUNT(*), SUM(sales) "
+                                  "FROM facts GROUP BY region")
+                        .status();
+    Status closed = (*session)->Close(self);
+    return status.ok() ? closed : status;
+  }
+  if (cls == 1) {
+    // V2S grouped aggregate: the grouping covers the segmentation
+    // column, so the aggregate pushes down and runs under the adhoc pool
+    // inside Vertica.
+    auto df = fabric.spark()
+                  ->Read()
+                  .Format(fabric::connector::kVerticaSourceName)
+                  .Option("table", "facts")
+                  .Option("numpartitions", 2)
+                  .Option("resource_pool", "adhoc")
+                  .Load(self);
+    if (!df.ok()) return df.status();
+    auto grouped = df->GroupBy({"region"});
+    if (!grouped.ok()) return grouped.status();
+    auto agg = grouped->Agg(
+        {fabric::spark::AggCount(), fabric::spark::AggSum("sales")});
+    if (!agg.ok()) return agg.status();
+    return agg->Collect(self).status();
+  }
+  // S2V load: a small partitioned save into a per-session table, staged
+  // and committed under the etl pool.
+  Schema load_schema({{"id", DataType::kInt64}, {"val", DataType::kInt64}});
+  std::vector<Row> rows;
+  for (int r = 0; r < 40; ++r) {
+    rows.push_back({Value::Int64(r), Value::Int64(i * 100 + r)});
+  }
+  auto df = fabric.spark()->CreateDataFrame(load_schema, std::move(rows), 2);
+  if (!df.ok()) return df.status();
+  return df->Write()
+      .Format(fabric::connector::kVerticaSourceName)
+      .Option("table", StrCat("load_", i))
+      .Option("numpartitions", 2)
+      .Option("resource_pool", "etl")
+      .Mode(fabric::spark::SaveMode::kOverwrite)
+      .Save(self);
+}
+
 ConfigResult RunConfig(Fabric& fabric, const BenchConfig& config,
                        int sessions_per_class, int lanes) {
   ConfigResult result;
@@ -188,110 +242,56 @@ ConfigResult RunConfig(Fabric& fabric, const BenchConfig& config,
   fabric.RunTimed(
       [&](fabric::sim::Process& driver) { StageFacts(fabric, driver); });
 
-  Schema load_schema(
-      {{"id", DataType::kInt64}, {"val", DataType::kInt64}});
-
   result.makespan = fabric.RunTimed([&](fabric::sim::Process& driver) {
-    Multiplexer mux(fabric.engine(),
-                    Multiplexer::Options{.lanes = lanes, .name = "bench"});
+    fabric::sim::Engine* engine = fabric.engine();
+    // The client connection pool: at most `lanes` sessions run a
+    // statement at once; the rest queue for a connection in arrival
+    // order.
+    fabric::sim::Semaphore connections(engine, lanes);
+    fabric::sim::Latch finished(engine, 3 * sessions_per_class);
+    int open = 0;
     // All sessions arrive within a short burst window: the backlog this
     // builds is what "concurrent" means here, and what the admission
     // queues have to drain fairly.
     constexpr double kArrivalSpread = 0.25;
-    for (int cls = 0; cls < 3; ++cls) {
-      ClassStats* stats = &result.classes[cls];
-      for (int i = 0; i < sessions_per_class; ++i) {
-        Multiplexer::SessionSpec spec;
-        spec.start =
+    for (int i = 0; i < sessions_per_class; ++i) {
+      for (int cls = 0; cls < 3; ++cls) {
+        const double start =
             kArrivalSpread * i / std::max(1, sessions_per_class);
-        double start = spec.start;
-        int tenant = i % kTenantsPerPool;
-        spec.body = [&fabric, &load_schema, cls, stats, tenant, start, i](
-                        fabric::sim::Process& self, int, int) -> Status {
-          Status status;
-          if (cls == 0) {
-            // Short dashboard SQL: one grouped aggregate over the
-            // shared fact table, entry node spread across the ring.
-            auto session = fabric::connector::ConnectWithFailover(
-                self, fabric.db(), i % fabric.db()->num_nodes(), nullptr);
-            if (!session.ok()) {
-              status = session.status();
-            } else {
-              (*session)->set_resource_pool("dashboard");
-              status = (*session)
-                           ->Execute(self,
-                                     "SELECT region, COUNT(*), SUM(sales) "
-                                     "FROM facts GROUP BY region")
-                           .status();
-              Status closed = (*session)->Close(self);
-              if (status.ok()) status = closed;
-            }
-          } else if (cls == 1) {
-            // V2S grouped aggregate: the grouping covers the
-            // segmentation column, so the aggregate pushes down and
-            // runs under the adhoc pool inside Vertica.
-            auto df = fabric.spark()
-                          ->Read()
-                          .Format(fabric::connector::kVerticaSourceName)
-                          .Option("table", "facts")
-                          .Option("numpartitions", 2)
-                          .Option("resource_pool", "adhoc")
-                          .Load(self);
-            status = df.status();
-            if (status.ok()) {
-              auto grouped = df->GroupBy({"region"});
-              status = grouped.status();
-              if (status.ok()) {
-                auto agg = grouped->Agg({fabric::spark::AggCount(),
-                                         fabric::spark::AggSum("sales")});
-                status = agg.status();
-                if (status.ok()) status = agg->Collect(self).status();
+        engine->Spawn(
+            StrCat("session:", cls, ":", i),
+            [&fabric, &result, &connections, &finished, &open, cls, start,
+             i](fabric::sim::Process& self) {
+              // A session is open from its arrival until its statement
+              // ends. Only engine teardown cancels the waits below.
+              if (start > self.Now() && !self.Sleep(start - self.Now()).ok()) {
+                return;
               }
-            }
-          } else {
-            // S2V load: a small partitioned save into a per-session
-            // table, staged and committed under the etl pool.
-            std::vector<Row> rows;
-            for (int r = 0; r < 40; ++r) {
-              rows.push_back({Value::Int64(r), Value::Int64(i * 100 + r)});
-            }
-            auto df = fabric.spark()->CreateDataFrame(load_schema,
-                                                      std::move(rows), 2);
-            status = df.status();
-            if (status.ok()) {
-              status = df->Write()
-                           .Format(fabric::connector::kVerticaSourceName)
-                           .Option("table", StrCat("load_", i))
-                           .Option("numpartitions", 2)
-                           .Option("resource_pool", "etl")
-                           .Mode(fabric::spark::SaveMode::kOverwrite)
-                           .Save(self);
-            }
-          }
-          if (status.ok()) {
-            stats->Finish(tenant, self.Now() - start);
-          } else {
-            ++stats->failed;
-          }
-          // The multiplexer aborts errored sessions; outcomes are
-          // already recorded, so the lane itself always reports OK
-          // (unless the process was killed with the node).
-          return self.CheckAlive();
-        };
-        mux.AddSession(std::move(spec));
+              result.peak_concurrent = std::max(result.peak_concurrent,
+                                                ++open);
+              if (!connections.Acquire(self).ok()) return;
+              Status status = RunSession(fabric, self, cls, i);
+              ClassStats& stats = result.classes[cls];
+              if (status.ok()) {
+                stats.Finish(i % kTenantsPerPool, self.Now() - start);
+              } else {
+                ++stats.failed;
+              }
+              connections.Release();
+              --open;
+              finished.CountDown();
+            });
       }
     }
-    mux.Launch();
     if (config.kill_and_tm) {
-      fabric.engine()->Spawn("killer", [&](fabric::sim::Process& self) {
+      engine->Spawn("killer", [&](fabric::sim::Process& self) {
         if (!self.Sleep(1.0).ok()) return;
         FABRIC_CHECK_OK(fabric.db()->KillNode(1));
         if (!self.Sleep(5.0).ok()) return;
         FABRIC_CHECK_OK(fabric.db()->RestartNode(1));
       });
     }
-    FABRIC_CHECK_OK(mux.Join(driver));
-    result.peak_concurrent = mux.stats().peak_concurrent;
+    FABRIC_CHECK_OK(finished.Await(driver));
   });
   return result;
 }

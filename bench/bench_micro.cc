@@ -6,6 +6,7 @@
 // the simulation actually executes.
 
 #include <algorithm>
+#include <chrono>
 #include <variant>
 
 #include <benchmark/benchmark.h>
@@ -299,6 +300,31 @@ void BM_FlowRerate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * flows);
 }
 BENCHMARK(BM_FlowRerate)->Arg(8)->Arg(64)->Arg(256);
+
+void BM_SimSwitch(benchmark::State& state) {
+  // The sim kernel's cost per step: two processes ping-pong with Sleep(0),
+  // so every engine step resumes one process and switches back. Reports
+  // host ns per step of Engine::Run, excluding engine setup and teardown.
+  constexpr int kYields = 10000;
+  double run_ns = 0;
+  double steps = 0;
+  for (auto _ : state) {
+    sim::Engine engine;
+    for (int p = 0; p < 2; ++p) {
+      engine.Spawn("ping", [](sim::Process& self) {
+        for (int i = 0; i < kYields; ++i) FABRIC_CHECK_OK(self.Sleep(0));
+      });
+    }
+    auto start = std::chrono::steady_clock::now();
+    FABRIC_CHECK_OK(engine.Run());
+    run_ns += std::chrono::duration<double, std::nano>(
+                  std::chrono::steady_clock::now() - start)
+                  .count();
+    steps += static_cast<double>(engine.steps());
+  }
+  state.counters["ns_per_step"] = run_ns / steps;
+}
+BENCHMARK(BM_SimSwitch)->UseRealTime();
 
 // --------------------------------------------------- pipeline compiler
 

@@ -7,12 +7,12 @@
 //   dashboard  high priority, tight per-query memory — short SQL
 //   adhoc      mid priority, cascades to general when full — V2S reads
 //
-// A burst of mixed traffic (SQL + V2S + S2V, driven as logical sessions
-// over the wm::Multiplexer) hits all three pools at once. The dashboard
-// pool's per-query grant is deliberately tiny, so its GROUP BYs run over
-// budget and complete by spilling partitions to simulated local disk —
-// with byte-identical results. Afterwards the example prints per-pool
-// p99 latency, the spill counters, and the live
+// A burst of mixed traffic (SQL + V2S + S2V, one sim process per client
+// session over a shared connection pool) hits all three pools at once.
+// The dashboard pool's per-query grant is deliberately tiny, so its
+// GROUP BYs run over budget and complete by spilling partitions to
+// simulated local disk — with byte-identical results. Afterwards the
+// example prints per-pool p99 latency, the spill counters, and the live
 // v_monitor.resource_pool_status system table.
 
 #include <algorithm>
@@ -25,10 +25,10 @@
 #include "net/network.h"
 #include "obs/trace.h"
 #include "sim/engine.h"
+#include "sim/waitable.h"
 #include "spark/dataframe.h"
 #include "vertica/database.h"
 #include "vertica/session.h"
-#include "vertica/wm/multiplexer.h"
 #include "vertica/wm/resource_pool.h"
 
 namespace {
@@ -40,11 +40,11 @@ using fabric::storage::DataType;
 using fabric::storage::Row;
 using fabric::storage::Schema;
 using fabric::storage::Value;
-using fabric::vertica::wm::Multiplexer;
 using fabric::vertica::wm::PoolConfig;
 using fabric::vertica::wm::WorkloadConfig;
 
 constexpr int kSessionsPerPool = 24;
+constexpr int kConnections = 24;
 
 WorkloadConfig ThreeTenantPools() {
   WorkloadConfig config;
@@ -90,6 +90,55 @@ double P99(std::vector<double> latencies) {
   return latencies[std::min(index, latencies.size() - 1)];
 }
 
+// One tenant session's statement: dashboard SQL (tenant 0), an adhoc V2S
+// grouped aggregate (tenant 1) or an etl S2V load (tenant 2).
+Status RunSession(fabric::sim::Process& self, int tenant, int i,
+                  fabric::vertica::Database* db,
+                  fabric::spark::SparkSession* spark) {
+  if (tenant == 0) {
+    // dashboard: short SQL.
+    auto s = fabric::connector::ConnectWithFailover(
+        self, db, i % db->num_nodes(), nullptr);
+    if (!s.ok()) return s.status();
+    (*s)->set_resource_pool("dashboard");
+    Status status = (*s)->Execute(self,
+                                  "SELECT region, COUNT(*), SUM(sales) "
+                                  "FROM facts GROUP BY region")
+                        .status();
+    Status closed = (*s)->Close(self);
+    return status.ok() ? closed : status;
+  }
+  if (tenant == 1) {
+    // adhoc: V2S grouped aggregate (pushes into Vertica).
+    auto df = spark->Read()
+                  .Format(kVerticaSourceName)
+                  .Option("table", "facts")
+                  .Option("numpartitions", 2)
+                  .Option("resource_pool", "adhoc")
+                  .Load(self);
+    if (!df.ok()) return df.status();
+    auto agg = df->GroupBy({"region"})->Agg(
+        {fabric::spark::AggCount(), fabric::spark::AggSum("sales")});
+    if (!agg.ok()) return agg.status();
+    return agg->Collect(self).status();
+  }
+  // etl: S2V load into a per-session table.
+  Schema load_schema({{"id", DataType::kInt64}, {"val", DataType::kInt64}});
+  std::vector<Row> rows;
+  for (int r = 0; r < 40; ++r) {
+    rows.push_back({Value::Int64(r), Value::Int64(i * 100 + r)});
+  }
+  auto df = spark->CreateDataFrame(load_schema, std::move(rows), 2);
+  if (!df.ok()) return df.status();
+  return df->Write()
+      .Format(kVerticaSourceName)
+      .Option("table", StrCat("load_", i))
+      .Option("numpartitions", 2)
+      .Option("resource_pool", "etl")
+      .Mode(fabric::spark::SaveMode::kOverwrite)
+      .Save(self);
+}
+
 void RunDemo(fabric::sim::Process& driver, fabric::vertica::Database* db,
              fabric::spark::SparkSession* spark,
              fabric::sim::Engine* engine) {
@@ -113,82 +162,39 @@ void RunDemo(fabric::sim::Process& driver, fabric::vertica::Database* db,
           .status());
   FABRIC_CHECK_OK((*session)->Close(driver));
 
-  // Mixed burst: kSessionsPerPool logical sessions per tenant, all
-  // arriving inside half a virtual second.
-  Schema load_schema({{"id", DataType::kInt64}, {"val", DataType::kInt64}});
+  // Mixed burst: kSessionsPerPool sessions per tenant, all arriving
+  // inside half a virtual second. Each session is its own sim process;
+  // a client connection pool of kConnections bounds how many run a
+  // statement at once.
   std::vector<std::vector<double>> latencies(3);
-  Multiplexer mux(engine, Multiplexer::Options{.lanes = 24,
-                                               .name = "tenants"});
-  for (int tenant = 0; tenant < 3; ++tenant) {
-    for (int i = 0; i < kSessionsPerPool; ++i) {
-      Multiplexer::SessionSpec spec;
-      spec.start = 0.5 * i / kSessionsPerPool;
-      double start = spec.start;
-      spec.body = [=, &latencies](fabric::sim::Process& self, int,
-                                  int) -> Status {
-        Status status;
-        if (tenant == 0) {
-          // dashboard: short SQL.
-          auto s = fabric::connector::ConnectWithFailover(
-              self, db, i % db->num_nodes(), nullptr);
-          if (!s.ok()) {
-            status = s.status();
-          } else {
-            (*s)->set_resource_pool("dashboard");
-            status = (*s)->Execute(self,
-                                   "SELECT region, COUNT(*), SUM(sales) "
-                                   "FROM facts GROUP BY region")
-                         .status();
-            Status closed = (*s)->Close(self);
-            if (status.ok()) status = closed;
-          }
-        } else if (tenant == 1) {
-          // adhoc: V2S grouped aggregate (pushes into Vertica).
-          auto df = spark->Read()
-                        .Format(kVerticaSourceName)
-                        .Option("table", "facts")
-                        .Option("numpartitions", 2)
-                        .Option("resource_pool", "adhoc")
-                        .Load(self);
-          status = df.status();
-          if (status.ok()) {
-            auto agg = df->GroupBy({"region"})->Agg(
-                {fabric::spark::AggCount(),
-                 fabric::spark::AggSum("sales")});
-            status = agg.status();
-            if (status.ok()) status = agg->Collect(self).status();
-          }
-        } else {
-          // etl: S2V load into a per-session table.
-          std::vector<Row> rows;
-          for (int r = 0; r < 40; ++r) {
-            rows.push_back({Value::Int64(r), Value::Int64(i * 100 + r)});
-          }
-          auto df = spark->CreateDataFrame(load_schema, std::move(rows), 2);
-          status = df.status();
-          if (status.ok()) {
-            status = df->Write()
-                         .Format(kVerticaSourceName)
-                         .Option("table", StrCat("load_", i))
-                         .Option("numpartitions", 2)
-                         .Option("resource_pool", "etl")
-                         .Mode(fabric::spark::SaveMode::kOverwrite)
-                         .Save(self);
-          }
-        }
-        FABRIC_CHECK_OK(status);
-        latencies[tenant].push_back(self.Now() - start);
-        return self.CheckAlive();
-      };
-      mux.AddSession(std::move(spec));
+  fabric::sim::Semaphore connections(engine, kConnections);
+  fabric::sim::Latch finished(engine, 3 * kSessionsPerPool);
+  int open = 0;
+  int peak_open = 0;
+  for (int i = 0; i < kSessionsPerPool; ++i) {
+    for (int tenant = 0; tenant < 3; ++tenant) {
+      const double start = 0.5 * i / kSessionsPerPool;
+      engine->Spawn(
+          StrCat("tenant", tenant, ":session", i),
+          [=, &latencies, &connections, &finished, &open,
+           &peak_open](fabric::sim::Process& self) {
+            if (start > self.Now()) {
+              FABRIC_CHECK_OK(self.Sleep(start - self.Now()));
+            }
+            peak_open = std::max(peak_open, ++open);
+            FABRIC_CHECK_OK(connections.Acquire(self));
+            FABRIC_CHECK_OK(RunSession(self, tenant, i, db, spark));
+            latencies[tenant].push_back(self.Now() - start);
+            connections.Release();
+            --open;
+            finished.CountDown();
+          });
     }
   }
   double t0 = driver.Now();
-  mux.Launch();
-  FABRIC_CHECK_OK(mux.Join(driver));
+  FABRIC_CHECK_OK(finished.Await(driver));
   std::printf("%d sessions over 3 pools in %.2f virtual s (peak %d open)\n\n",
-              mux.stats().sessions, driver.Now() - t0,
-              mux.stats().peak_concurrent);
+              3 * kSessionsPerPool, driver.Now() - t0, peak_open);
 
   const char* kPoolOfTenant[] = {"dashboard", "adhoc", "etl"};
   std::printf("%-10s %9s %9s\n", "pool", "sessions", "p99 (s)");

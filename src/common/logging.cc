@@ -10,8 +10,8 @@ namespace {
 
 std::atomic<int> g_log_level{static_cast<int>(LogLevel::kWarning)};
 
-// Serializes log lines; the sim engine is single-runnable but host threads
-// back sim processes, so emission still needs a lock.
+// Serializes log lines: one engine runs all its processes on one host
+// thread, but separate engines may run on separate threads.
 std::mutex& LogMutex() {
   static std::mutex* mutex = new std::mutex;
   return *mutex;

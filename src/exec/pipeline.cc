@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <utility>
 
 #include "common/string_util.h"
@@ -111,7 +112,10 @@ class Evaluator {
           if (a.nulls[i]) {
             out.nulls[i] = 1;
           } else if (n.type == DataType::kInt64) {
-            out.ints[i] = -a.ints[i];
+            // Overflow: the interpreter reports "integer out of range".
+            if (__builtin_sub_overflow(int64_t{0}, a.ints[i], &out.ints[i])) {
+              return false;
+            }
           } else {
             out.doubles[i] = -a.Number(i);
           }
@@ -159,6 +163,9 @@ class Evaluator {
           if (a.nulls[i]) {
             out.nulls[i] = 1;
           } else if (n.type == DataType::kInt64) {
+            if (a.ints[i] == std::numeric_limits<int64_t>::min()) {
+              return false;  // interpreter: integer out of range
+            }
             out.ints[i] = std::abs(a.ints[i]);
           } else {
             out.doubles[i] = std::fabs(a.Number(i));
@@ -371,7 +378,8 @@ class Evaluator {
       }
       if (n.op == Node::Op::kMod) {
         if (b.ints[i] == 0) return false;  // interpreter: division by zero
-        out->ints[i] = a.ints[i] % b.ints[i];
+        // INT64_MIN % -1 traps in hardware; the remainder is 0 for any x.
+        out->ints[i] = b.ints[i] == -1 ? 0 : a.ints[i] % b.ints[i];
         continue;
       }
       if (n.op == Node::Op::kDiv) {
@@ -383,17 +391,19 @@ class Evaluator {
       if (n.int_arith) {
         int64_t x = a.ints[i];
         int64_t y = b.ints[i];
+        bool overflow = false;
         switch (n.op) {
           case Node::Op::kAdd:
-            out->ints[i] = x + y;
+            overflow = __builtin_add_overflow(x, y, &out->ints[i]);
             break;
           case Node::Op::kSub:
-            out->ints[i] = x - y;
+            overflow = __builtin_sub_overflow(x, y, &out->ints[i]);
             break;
           default:
-            out->ints[i] = x * y;
+            overflow = __builtin_mul_overflow(x, y, &out->ints[i]);
             break;
         }
+        if (overflow) return false;  // interpreter: integer out of range
       } else {
         double x = a.Number(i);
         double y = b.Number(i);

@@ -1,15 +1,14 @@
 #ifndef FABRIC_SIM_ENGINE_H_
 #define FABRIC_SIM_ENGINE_H_
 
-#include <condition_variable>
+#include <ucontext.h>
+
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <queue>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/status.h"
@@ -26,7 +25,9 @@ class Process;
 
 using ProcessHandle = std::shared_ptr<Process>;
 
-// A Process is a cooperatively scheduled activity backed by a host thread.
+// A Process is a cooperatively scheduled activity backed by a stackful
+// fiber: every process runs on the host thread that calls Engine::Run, and
+// control passes between the engine and a process only at blocking calls.
 // Exactly one process (or the engine itself) runs at any instant, so all
 // simulation state can be accessed without locking from process context.
 // Determinism: wake-ups are ordered by (virtual time, sequence number).
@@ -72,12 +73,21 @@ class Process {
   Process(Engine* engine, uint64_t id, std::string name,
           std::function<void(Process&)> body);
 
-  // Hands control back to the engine and blocks the host thread until the
-  // engine wakes this process again. Must hold the engine lock.
-  void SwitchToEngine(std::unique_lock<std::mutex>& lock);
+  // Fiber stack size: what a glibc thread gets by default. The lowest page
+  // is a PROT_NONE guard; the rest is committed lazily as it is touched.
+  static constexpr size_t kStackBytes = size_t{8} << 20;
 
-  // Body run on the host thread.
-  void ThreadMain();
+  // Hands control back to the engine; returns once the engine resumes
+  // this process.
+  void SwitchToEngine();
+
+  // Fiber entry point; makecontext passes `this` split into two halves.
+  // No frame above it can catch, so an exception escaping a body ends the
+  // program (as it did when processes were threads).
+  static void FiberEntry(unsigned hi, unsigned lo) noexcept;
+
+  // Unmaps the fiber stack (once the body has returned, or at teardown).
+  void ReleaseStack();
 
   Engine* engine_;
   uint64_t id_;
@@ -91,8 +101,9 @@ class Process {
   Condition* wait_cond_ = nullptr;
   bool wake_posted_ = false;  // a wake event for this process is queued
   uint64_t wake_epoch_ = 0;   // invalidates superseded queued wakes
-  std::condition_variable cv_;
-  std::thread thread_;
+  ucontext_t context_{};
+  void* stack_ = nullptr;  // kStackBytes mapping, guard page first
+  void* fake_stack_ = nullptr;  // ASan bookkeeping while switched out
 };
 
 // Deterministic discrete-event engine. Typical use:
@@ -164,12 +175,16 @@ class Engine {
 
   // Queues a wake event for `process` at `when`; dedupes (a process has
   // at most one live pending wake). With `force`, supersedes any pending
-  // wake (immediate kill delivery). Requires the engine lock.
-  void PostWakeLocked(Process* process, SimTime when, bool force = false);
+  // wake (immediate kill delivery).
+  void PostWake(Process* process, SimTime when, bool force = false);
 
-  std::mutex mu_;
-  std::condition_variable engine_cv_;
-  bool engine_turn_ = true;  // true when the engine (not a process) may run
+  // Switches from the engine to `process` until it blocks or finishes.
+  void Resume(Process* process);
+
+  ucontext_t engine_context_{};  // where Run resumes when a process yields
+  // The stack Run executes on, for ASan's fiber-switch annotations.
+  const void* engine_stack_bottom_ = nullptr;
+  size_t engine_stack_size_ = 0;
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t next_id_ = 1;
@@ -177,7 +192,6 @@ class Engine {
   uint64_t max_steps_ = 200'000'000;
   std::priority_queue<Event, std::vector<Event>, EventLater> events_;
   std::vector<ProcessHandle> processes_;
-  Process* current_ = nullptr;
 };
 
 }  // namespace fabric::sim

@@ -9,8 +9,8 @@
 namespace fabric::sim {
 
 // Virtual-time synchronization primitives, usable only from process
-// context. State needs no host locking beyond the engine handoff because
-// exactly one process runs at a time.
+// context. State needs no host locking: every process is a fiber on the
+// one host thread running the engine, and exactly one runs at a time.
 
 // Condition variable in virtual time. Waiters resume in notify order
 // (deterministic, since wakes are sequenced events).

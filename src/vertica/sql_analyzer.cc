@@ -140,7 +140,12 @@ std::optional<RingRangeSet> RangeOfComparison(
              literal->args[0]->kind == Expr::Kind::kLiteral &&
              literal->args[0]->literal.type() ==
                  storage::DataType::kInt64) {
-    signed_bound = -literal->args[0]->literal.int64_value();
+    // -INT64_MIN overflows: evaluation reports it, so no ring range.
+    if (__builtin_sub_overflow(int64_t{0},
+                               literal->args[0]->literal.int64_value(),
+                               &signed_bound)) {
+      return std::nullopt;
+    }
   } else {
     return std::nullopt;
   }
@@ -201,7 +206,12 @@ std::optional<storage::Value> LiteralOf(const Expr& expr) {
       !expr.args[0]->literal.is_null()) {
     const storage::Value& v = expr.args[0]->literal;
     if (v.type() == storage::DataType::kInt64) {
-      return storage::Value::Int64(-v.int64_value());
+      // -INT64_MIN overflows: leave it to evaluation, which reports it.
+      int64_t negated = 0;
+      if (__builtin_sub_overflow(int64_t{0}, v.int64_value(), &negated)) {
+        return std::nullopt;
+      }
+      return storage::Value::Int64(negated);
     }
     if (v.type() == storage::DataType::kFloat64) {
       return storage::Value::Float64(-v.float64_value());

@@ -1,6 +1,7 @@
 #include "vertica/sql_eval.h"
 
 #include <cmath>
+#include <limits>
 #include <optional>
 
 #include "common/hash.h"
@@ -126,6 +127,9 @@ Value FromTribool(Tribool t) {
   return Value::Bool(*t);
 }
 
+// INTEGER arithmetic whose exact result does not fit in 64 bits.
+Status IntegerOutOfRange() { return OutOfRangeError("integer out of range"); }
+
 Result<Value> EvalBinary(const Expr& expr, const EvalContext& context);
 Result<Value> EvalCall(const Expr& expr, const EvalContext& context);
 
@@ -154,7 +158,12 @@ Result<Value> Eval(const Expr& expr, const EvalContext& context) {
       // Unary minus.
       if (operand.is_null()) return Value::Null();
       if (operand.type() == DataType::kInt64) {
-        return Value::Int64(-operand.int64_value());
+        int64_t negated = 0;
+        if (__builtin_sub_overflow(int64_t{0}, operand.int64_value(),
+                                   &negated)) {
+          return IntegerOutOfRange();
+        }
+        return Value::Int64(negated);
       }
       FABRIC_ASSIGN_OR_RETURN(double d, operand.AsDouble());
       return Value::Float64(-d);
@@ -226,20 +235,25 @@ Result<Value> EvalBinary(const Expr& expr, const EvalContext& context) {
     if (!both_int) return InvalidArgumentError("% requires integers");
     int64_t divisor = rhs.int64_value();
     if (divisor == 0) return InvalidArgumentError("division by zero");
+    // INT64_MIN % -1 traps in hardware; the remainder is 0 for any x.
+    if (divisor == -1) return Value::Int64(0);
     return Value::Int64(lhs.int64_value() % divisor);
   }
   FABRIC_ASSIGN_OR_RETURN(double a, lhs.AsDouble());
   FABRIC_ASSIGN_OR_RETURN(double b, rhs.AsDouble());
-  if (op == "+") {
-    if (both_int) return Value::Int64(lhs.int64_value() + rhs.int64_value());
-    return Value::Float64(a + b);
-  }
-  if (op == "-") {
-    if (both_int) return Value::Int64(lhs.int64_value() - rhs.int64_value());
-    return Value::Float64(a - b);
-  }
-  if (op == "*") {
-    if (both_int) return Value::Int64(lhs.int64_value() * rhs.int64_value());
+  if (op == "+" || op == "-" || op == "*") {
+    if (both_int) {
+      const int64_t x = lhs.int64_value();
+      const int64_t y = rhs.int64_value();
+      int64_t result = 0;
+      const bool overflow = op == "+"   ? __builtin_add_overflow(x, y, &result)
+                      : op == "-" ? __builtin_sub_overflow(x, y, &result)
+                                  : __builtin_mul_overflow(x, y, &result);
+      if (overflow) return IntegerOutOfRange();
+      return Value::Int64(result);
+    }
+    if (op == "+") return Value::Float64(a + b);
+    if (op == "-") return Value::Float64(a - b);
     return Value::Float64(a * b);
   }
   if (op == "/") {
@@ -278,7 +292,11 @@ Result<Value> EvalCall(const Expr& expr, const EvalContext& context) {
     if (args.size() != 1) return InvalidArgumentError("ABS(x)");
     if (args[0].is_null()) return Value::Null();
     if (args[0].type() == DataType::kInt64) {
-      return Value::Int64(std::abs(args[0].int64_value()));
+      const int64_t v = args[0].int64_value();
+      if (v == std::numeric_limits<int64_t>::min()) {
+        return IntegerOutOfRange();
+      }
+      return Value::Int64(std::abs(v));
     }
     FABRIC_ASSIGN_OR_RETURN(double d, args[0].AsDouble());
     return Value::Float64(std::fabs(d));

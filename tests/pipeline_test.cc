@@ -82,7 +82,7 @@ std::string Canon(const Result<QueryResult>& result) {
 // AND/OR, IS NULL, arithmetic with / and %, string functions and ||,
 // GROUP BY with builtin and UDx aggregates), plus shapes that must fall
 // back (HASH) and shapes that must error identically on both paths
-// (division by zero).
+// (division by zero, INTEGER overflow).
 std::vector<std::string> MakeQueries(Rng& rng) {
   const int64_t k = rng.NextInt64(2, 5);
   const int64_t r = rng.NextInt64(0, k - 1);
@@ -114,6 +114,18 @@ std::vector<std::string> MakeQueries(Rng& rng) {
       // interpreter must produce the identical error.
       "SELECT 10 / (id - id) AS boom FROM t",
       StrCat("SELECT id % (id - id) AS boom FROM t WHERE id = ", mid),
+      // INTEGER edges: x % -1 is 0 even for INT64_MIN (the kernel must
+      // not trap), and an overflowing negate, ABS, +, - or * bails so the
+      // interpreter reports "integer out of range".
+      "SELECT id % -1 AS m, (id - id - 9223372036854775807 - 1) % -1 AS mn"
+      " FROM t",
+      StrCat("SELECT -(id - id - 9223372036854775807 - 1) AS boom FROM t"
+             " WHERE id = ", mid),
+      StrCat("SELECT ABS(id - id - 9223372036854775807 - 1) AS boom FROM t"
+             " WHERE id = ", mid),
+      "SELECT id + 9223372036854775807 AS boom FROM t",
+      "SELECT (id - id - 9223372036854775807) - id AS boom FROM t",
+      "SELECT id * 4611686018427387904 AS boom FROM t",
   };
 }
 

@@ -153,9 +153,9 @@ int MappedRegions() {
   return regions;
 }
 
-// A finished process's host thread is joined during Run, not at engine
-// teardown: otherwise a long-lived engine keeps one thread stack mapped
-// per process it ever ran.
+// A finished process's stack is unmapped during Run, not at engine
+// teardown: otherwise a long-lived engine keeps one stack mapped per
+// process it ever ran.
 TEST(EngineTest, FinishedProcessesReleaseTheirThreads) {
   Engine engine;
   const int before = MappedRegions();
@@ -168,6 +168,33 @@ TEST(EngineTest, FinishedProcessesReleaseTheirThreads) {
     }
   });
   ASSERT_TRUE(engine.Run().ok());
+  EXPECT_LT(MappedRegions() - before, 100);
+}
+
+// Ten thousand processes live at once, all parked on one condition: each
+// holds its own stack until NotifyAll releases it, and every stack is
+// unmapped again once its body returns.
+TEST(EngineTest, TenThousandParkedProcessesWakeOnOneNotify) {
+  constexpr int kProcesses = 10000;
+  Engine engine;
+  Condition cond(&engine);
+  const int before = MappedRegions();
+  int woke = 0;
+  for (int i = 0; i < kProcesses; ++i) {
+    engine.Spawn(StrCat("parked-", i), [&](Process& self) {
+      ASSERT_TRUE(cond.Wait(self).ok());
+      ++woke;
+      ASSERT_TRUE(self.Sleep(0.5).ok());
+    });
+  }
+  engine.Spawn("notifier", [&](Process& self) {
+    ASSERT_TRUE(self.Sleep(2).ok());
+    EXPECT_EQ(cond.num_waiters(), kProcesses);
+    cond.NotifyAll();
+  });
+  ASSERT_TRUE(engine.Run().ok());
+  EXPECT_EQ(woke, kProcesses);
+  EXPECT_DOUBLE_EQ(engine.now(), 2.5);
   EXPECT_LT(MappedRegions() - before, 100);
 }
 

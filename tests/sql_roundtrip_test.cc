@@ -127,29 +127,67 @@ void ExpectSameEval(const Expr& want, const Expr& got,
   EXPECT_EQ(a->ToDisplayString(), b->ToDisplayString()) << label;
 }
 
+void ExpectStableRoundTrip(const Expr& e) {
+  const std::string s1 = e.ToSql();
+  SCOPED_TRACE(testing::Message() << "sql " << s1);
+
+  Result<ExprPtr> e2 = ParseExpression(s1);
+  ASSERT_TRUE(e2.ok()) << e2.status().ToString();
+  const std::string s2 = (*e2)->ToSql();
+
+  Result<ExprPtr> e3 = ParseExpression(s2);
+  ASSERT_TRUE(e3.ok()) << e3.status().ToString();
+  const std::string s3 = (*e3)->ToSql();
+
+  // One parse round canonicalizes; after that, rendering is a fixed
+  // point.
+  EXPECT_EQ(s2, s3);
+
+  ExpectSameEval(e, **e2, "original vs first reparse");
+  ExpectSameEval(e, **e3, "original vs second reparse");
+}
+
 TEST(SqlRoundTripTest, GeneratedExpressionsStabilizeAfterOneRoundTrip) {
+  // INTEGER edge cases first, with their expected values: x % -1 is 0
+  // (INT64_MIN % -1 traps in hardware), and a negate, ABS, +, - or *
+  // whose result does not fit in 64 bits is an "integer out of range"
+  // error rather than signed overflow.
+  const std::string kOutOfRange = "integer out of range";
+  const std::vector<std::pair<std::string, std::string>> kIntegerEdges = {
+      {"(-9223372036854775807 - 1) % -1", "0"},
+      {"a % -1", "0"},
+      {"-9223372036854775807 - 1", "-9223372036854775808"},
+      {"9223372036854775807 * -1", "-9223372036854775807"},
+      {"-(-9223372036854775807 - 1)", kOutOfRange},
+      {"ABS(-9223372036854775807 - 1)", kOutOfRange},
+      {"9223372036854775807 + a", kOutOfRange},
+      {"(-9223372036854775807 - 1) - a", kOutOfRange},
+      {"4611686018427387904 * 2", kOutOfRange},
+      {"(-9223372036854775807 - 1) * -1", kOutOfRange},
+  };
+  EvalContext context;
+  context.schema = &TestSchema();
+  context.row = &TestRow();
+  for (const auto& [sql, want] : kIntegerEdges) {
+    SCOPED_TRACE(sql);
+    Result<ExprPtr> e = ParseExpression(sql);
+    ASSERT_TRUE(e.ok()) << e.status().ToString();
+    Result<Value> got = Eval(**e, context);
+    if (want == kOutOfRange) {
+      ASSERT_FALSE(got.ok());
+      EXPECT_EQ(got.status().message(), kOutOfRange);
+    } else {
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(got->ToDisplayString(), want);
+    }
+    ExpectStableRoundTrip(**e);
+  }
+
   for (uint64_t seed : {11u, 23u, 47u}) {
     Rng rng(seed);
     for (int i = 0; i < 400; ++i) {
-      ExprPtr e = RandomExpr(rng, 4);
-      const std::string s1 = e->ToSql();
-      SCOPED_TRACE(testing::Message()
-                   << "seed " << seed << " iter " << i << " sql " << s1);
-
-      Result<ExprPtr> e2 = ParseExpression(s1);
-      ASSERT_TRUE(e2.ok()) << e2.status().ToString();
-      const std::string s2 = (*e2)->ToSql();
-
-      Result<ExprPtr> e3 = ParseExpression(s2);
-      ASSERT_TRUE(e3.ok()) << e3.status().ToString();
-      const std::string s3 = (*e3)->ToSql();
-
-      // One parse round canonicalizes; after that, rendering is a
-      // fixed point.
-      EXPECT_EQ(s2, s3);
-
-      ExpectSameEval(*e, **e2, "original vs first reparse");
-      ExpectSameEval(*e, **e3, "original vs second reparse");
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " iter " << i);
+      ExpectStableRoundTrip(*RandomExpr(rng, 4));
     }
   }
 }
