@@ -53,7 +53,7 @@ struct FabricOptions {
   bool compile_pipelines = true;
   bool fuse_map_stages = true;
   // Named resource pools for the workload manager (bench_concurrency
-  // contrasts pooled admission against the legacy flat semaphore).
+  // contrasts pooled admission against no admission control).
   // Empty = WM off.
   vertica::wm::WorkloadConfig workload;
   // Per-node client session cap (0 keeps the database default).

@@ -5,7 +5,7 @@
 // resource pool; --lanes sizes the client connection pool they share.
 // Four configurations sweep the admission story:
 //
-//   wm off            legacy flat semaphore (the pre-WM database)
+//   wm off            no admission control (the pre-WM database)
 //   wm on             etl/dashboard/adhoc pools with priorities,
 //                     budgets and cascade-to-general borrowing
 //   wm on + spill     tiny per-query grants: every GROUP BY runs over

@@ -30,12 +30,6 @@ Database::Database(sim::Engine* engine, net::Network* network,
   node_incarnation_.assign(options_.num_nodes, 0);
   node_sessions_.resize(options_.num_nodes);
   state_changed_ = std::make_unique<sim::Condition>(engine_);
-  if (options_.pool_concurrency > 0) {
-    for (int i = 0; i < options_.num_nodes; ++i) {
-      pool_slots_.push_back(std::make_unique<sim::Semaphore>(
-          engine_, options_.pool_concurrency));
-    }
-  }
   udx_resolver_ = [this](const std::string& fn,
                          const std::vector<storage::Value>& args,
                          const std::map<std::string, storage::Value>&
@@ -1007,20 +1001,6 @@ Status Database::WaitForNodeState(sim::Process& self, int node,
   return state_changed_->WaitUntil(self, [this, node, state] {
     return node_states_[node] == state;
   });
-}
-
-Status Database::PoolAdmit(sim::Process& self, int node) {
-  // The workload manager supersedes the flat pool; Session::Execute
-  // already admitted this statement through its named pool.
-  if (wm_ != nullptr) return self.CheckAlive();
-  if (pool_slots_.empty()) return self.CheckAlive();
-  return pool_slots_[node]->Acquire(self);
-}
-
-void Database::PoolRelease(int node) {
-  if (wm_ != nullptr) return;
-  if (pool_slots_.empty()) return;
-  pool_slots_[node]->Release();
 }
 
 bool IsMaxClientSessionsError(const Status& status) {

@@ -59,12 +59,8 @@ class Database {
     // MaxClientSessions per node (the paper raises it to 100 for the
     // parallelism experiments).
     int max_client_sessions = 100;
-    // Concurrent queries admitted per node by the legacy flat resource
-    // pool; 0 means unlimited (excess queries queue, as Vertica pools
-    // do). Ignored when `workload` configures named pools.
-    int pool_concurrency = 0;
-    // Named hierarchical resource pools (workload manager). Empty =
-    // legacy flat admission via pool_concurrency.
+    // Named hierarchical resource pools (workload manager). Empty = no
+    // admission control (a one-pool config caps concurrency per node).
     wm::WorkloadConfig workload;
     // Tuple Mover (background moveout/mergeout/AHM) knobs; enabled by
     // default so default-configured clusters drain their WOS.
@@ -316,13 +312,8 @@ class Database {
   void AbortTxnInternal(storage::TxnId txn);
 
   // ----------------------------------------------------------- resources
-  // Admission into a node's legacy flat resource pool (no-op when
-  // unlimited or when the workload manager is active).
-  Status PoolAdmit(sim::Process& self, int node);
-  void PoolRelease(int node);
-
   // The workload manager, or nullptr when options().workload is empty
-  // (legacy flat admission).
+  // (no admission control).
   wm::WorkloadManager* workload_manager() { return wm_.get(); }
 
   // Connect registers each session so KillNode can break every session
@@ -408,7 +399,6 @@ class Database {
   sql::AggregateUdxResolver aggregate_udx_resolver_;
   PipelineCompiler pipeline_compiler_;
   std::vector<int> active_sessions_;
-  std::vector<std::unique_ptr<sim::Semaphore>> pool_slots_;
   std::unique_ptr<wm::WorkloadManager> wm_;
 
   // ----------------------------------------------------------- k-safety

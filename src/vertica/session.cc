@@ -88,6 +88,197 @@ Status ApplyOrderAndLimit(const sql::SelectStmt& select,
   return Status::OK();
 }
 
+// A WHERE lowered for the vectorized scan (UPDATE, DELETE and SELECT):
+// kernel-runnable terms plus the interpreted residual and the columns it
+// reads. SELECT may also lower the residual to a vectorized program,
+// compiled once on the initiator and shared by every node's scan.
+struct ScanFilter {
+  storage::ScanPredicate predicate;
+  sql::ExprPtr residual;  // null: no WHERE, or fully kernel-runnable
+  std::shared_ptr<const exec::Program> compiled_residual;
+  std::vector<int> residual_columns;
+};
+
+// `compiler` null (or disabled) keeps the residual interpreted.
+Result<ScanFilter> CompileScanFilter(const sql::Expr* where,
+                                     const Schema& schema,
+                                     PipelineCompiler* compiler) {
+  ScanFilter filter;
+  if (where == nullptr) return filter;
+  sql::CompiledScan compiled = sql::CompileScanPredicate(*where, schema);
+  filter.predicate = std::move(compiled.predicate);
+  filter.residual = std::move(compiled.residual);
+  if (filter.residual != nullptr) {
+    if (compiler != nullptr && compiler->enabled()) {
+      filter.compiled_residual =
+          compiler->GetOrCompilePredicate(*filter.residual, schema);
+    }
+    std::set<int> cols;
+    FABRIC_RETURN_IF_ERROR(CollectColumns(*filter.residual, schema, &cols));
+    filter.residual_columns.assign(cols.begin(), cols.end());
+  }
+  return filter;
+}
+
+// Points `spec` at `filter` (both it and `schema` must outlive the scan).
+// A strict residual fails the scan on an evaluation error, as SELECT
+// does; a lenient one reads the error as "no match", as the write path
+// does.
+void AttachScanFilter(const ScanFilter& filter, const Schema& schema,
+                      const sql::UdxResolver* udx, bool lenient,
+                      storage::ScanSpec* spec) {
+  spec->predicate = &filter.predicate;
+  spec->residual_columns = &filter.residual_columns;
+  if (filter.residual == nullptr) return;
+  spec->residual = [residual = filter.residual.get(), &schema, udx,
+                    lenient](const Row& row) -> Result<bool> {
+    sql::EvalContext context;
+    context.schema = &schema;
+    context.row = &row;
+    context.udx = udx;
+    return lenient ? sql::EvalPredicateLenient(*residual, context)
+                   : sql::EvalPredicate(*residual, context);
+  };
+  if (filter.compiled_residual == nullptr) return;
+  spec->batch_residual = [program = filter.compiled_residual.get()](
+                             const std::vector<Row>& rows,
+                             std::vector<uint32_t>* keep) {
+    exec::EvalState es;
+    std::vector<uint32_t> active;
+    std::vector<uint32_t> kept;
+    for (size_t base = 0; base < rows.size(); base += exec::kBlockRows) {
+      size_t len = std::min(exec::kBlockRows, rows.size() - base);
+      active.resize(len);
+      for (size_t i = 0; i < len; ++i) active[i] = static_cast<uint32_t>(i);
+      kept.clear();
+      if (!exec::RunFilter(*program, rows.data() + base, len, active, &es,
+                           &kept)) {
+        return false;
+      }
+      for (uint32_t i : kept) keep->push_back(static_cast<uint32_t>(base) + i);
+    }
+    return true;
+  };
+}
+
+// ------------------------------------------------------------- joins
+
+// The schema an INNER JOIN exposes: the left columns, then the right
+// columns, where a right column whose name collides with a left one is
+// exposed as <join>_<name>. Planned joins pass the full anchor schemas
+// and project the result, so the exposed names never depend on which
+// columns or layouts a plan scans.
+Schema JoinedSchema(const Schema& left, const Schema& right,
+                    const std::string& join) {
+  std::vector<storage::ColumnDef> columns = left.columns();
+  for (const storage::ColumnDef& column : right.columns()) {
+    storage::ColumnDef renamed = column;
+    if (left.Contains(column.name)) {
+      renamed.name = StrCat(join, "_", column.name);
+    }
+    columns.push_back(std::move(renamed));
+  }
+  return Schema(std::move(columns));
+}
+
+// The key columns of a simple column-equality ON, one per side.
+struct EquiKeys {
+  int left = -1;
+  int right = -1;
+  bool swapped = false;  // ON names the right side's column first
+};
+
+// Resolves ON `a = b` against the two sides' schemas, in either
+// spelling. nullopt: ON is anything else, and only a nested loop can
+// evaluate it.
+std::optional<EquiKeys> ResolveEquiKeys(const sql::Expr& on,
+                                        const Schema& left,
+                                        const Schema& right) {
+  if (on.kind != sql::Expr::Kind::kBinary || on.op != "=" ||
+      on.args[0]->kind != sql::Expr::Kind::kColumnRef ||
+      on.args[1]->kind != sql::Expr::Kind::kColumnRef) {
+    return std::nullopt;
+  }
+  for (bool swapped : {false, true}) {
+    auto l = left.IndexOf(on.args[swapped ? 1 : 0]->column);
+    auto r = right.IndexOf(on.args[swapped ? 0 : 1]->column);
+    if (l.ok() && r.ok()) return EquiKeys{*l, *r, swapped};
+  }
+  return std::nullopt;
+}
+
+// A non-NULL join key as SQL `=` sees it: BOOLEAN, INTEGER and FLOAT
+// compare by numeric value, exactly as Value::Compare does (so -0.0 =
+// 0.0 and 1e17 = 100000000000000000); VARCHAR compares by bytes.
+struct JoinKey {
+  bool text = false;
+  double number = 0;
+  const std::string* bytes = nullptr;
+
+  explicit JoinKey(const Value& v) {
+    if (v.type() == DataType::kVarchar) {
+      text = true;
+      bytes = &v.varchar_value();
+    } else {
+      number = v.NumericValue();
+    }
+  }
+  // A total order: numbers before text; NaN after every other number
+  // and equal only to NaN.
+  bool operator<(const JoinKey& other) const {
+    if (text != other.text) return other.text;
+    if (text) return *bytes < *other.bytes;
+    if (std::isnan(number)) return false;
+    return std::isnan(other.number) || number < other.number;
+  }
+};
+
+// The one equi-join kernel, behind every strategy and placement: calls
+// emit(left_row, right_row) for each pair whose keys are equal under SQL
+// `=`, left rows in order and each one's matches in right arrival order.
+// NULL keys never join. A number meeting text fails exactly as `=`
+// would ("cannot compare INTEGER with VARCHAR"). Hash and merge joins
+// differ only in what they cost and where they run, never in this
+// output.
+template <typename Emit>
+Status EquiJoin(const std::vector<Row>& left, const std::vector<Row>& right,
+                const EquiKeys& keys, Emit&& emit) {
+  std::vector<std::pair<JoinKey, size_t>> index;
+  index.reserve(right.size());
+  const Row* first_number = nullptr;
+  const Row* first_text = nullptr;
+  for (size_t i = 0; i < right.size(); ++i) {
+    const Value& key = right[i][keys.right];
+    if (key.is_null()) continue;
+    index.emplace_back(JoinKey(key), i);
+    const Row** first = index.back().first.text ? &first_text : &first_number;
+    if (*first == nullptr) *first = &right[i];
+  }
+  std::stable_sort(index.begin(), index.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first < b.first;
+                   });
+  auto key_less = [](const auto& entry, const JoinKey& key) {
+    return entry.first < key;
+  };
+  for (const Row& lrow : left) {
+    const Value& value = lrow[keys.left];
+    if (value.is_null()) continue;
+    const JoinKey key(value);
+    const Row* mismatch = key.text ? first_number : first_text;
+    if (mismatch != nullptr) {
+      const Value& other = (*mismatch)[keys.right];
+      return (keys.swapped ? other.Compare(value) : value.Compare(other))
+          .status();
+    }
+    for (auto it = std::lower_bound(index.begin(), index.end(), key, key_less);
+         it != index.end() && !(key < it->first); ++it) {
+      emit(lrow, right[it->second]);
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 // ------------------------------------------------------------- lifecycle
@@ -850,40 +1041,20 @@ Result<QueryResult> Session::ExecUpdate(sim::Process& self,
     const CostModel& cost = db_->cost();
     bool replicated = def->segmentation.unsegmented();
 
-    // Compile the WHERE for the vectorized scan; the leftovers run
-    // row-at-a-time with the write path's lenient error semantics
-    // (an erroring predicate simply doesn't match).
-    storage::ScanPredicate predicate;
-    sql::ExprPtr residual;
-    std::vector<int> residual_columns;
-    if (stmt.where != nullptr) {
-      sql::CompiledScan compiled =
-          sql::CompileScanPredicate(*stmt.where, schema);
-      predicate = std::move(compiled.predicate);
-      residual = std::move(compiled.residual);
-      if (residual != nullptr) {
-        std::set<int> cols;
-        FABRIC_RETURN_IF_ERROR(CollectColumns(*residual, schema, &cols));
-        residual_columns.assign(cols.begin(), cols.end());
-      }
-    }
+    // The WHERE's leftovers run row-at-a-time with the write path's
+    // lenient error semantics (an erroring predicate simply doesn't
+    // match).
+    FABRIC_ASSIGN_OR_RETURN(
+        ScanFilter filter,
+        CompileScanFilter(stmt.where.get(), schema, nullptr));
     std::vector<int> all_columns(schema.num_columns());
     for (int c = 0; c < schema.num_columns(); ++c) all_columns[c] = c;
 
     storage::ScanSpec spec;
     spec.as_of = snapshot;
     spec.txn = wt.txn;
-    spec.predicate = &predicate;
-    if (residual != nullptr) {
-      spec.residual = [&](const Row& row) -> Result<bool> {
-        sql::EvalContext context;
-        context.schema = &schema;
-        context.row = &row;
-        context.udx = &db_->udx_resolver();
-        return sql::EvalPredicateLenient(*residual, context);
-      };
-    }
-    spec.residual_columns = &residual_columns;
+    AttachScanFilter(filter, schema, &db_->udx_resolver(), /*lenient=*/true,
+                     &spec);
 
     // Anchor-side victim / replacement capture for projection
     // maintenance (full anchor-width rows, each logical row once).
@@ -1039,34 +1210,14 @@ Result<QueryResult> Session::ExecDelete(sim::Process& self,
     const CostModel& cost = db_->cost();
     bool replicated = def->segmentation.unsegmented();
 
-    storage::ScanPredicate predicate;
-    sql::ExprPtr residual;
-    std::vector<int> residual_columns;
-    if (stmt.where != nullptr) {
-      sql::CompiledScan compiled =
-          sql::CompileScanPredicate(*stmt.where, schema);
-      predicate = std::move(compiled.predicate);
-      residual = std::move(compiled.residual);
-      if (residual != nullptr) {
-        std::set<int> cols;
-        FABRIC_RETURN_IF_ERROR(CollectColumns(*residual, schema, &cols));
-        residual_columns.assign(cols.begin(), cols.end());
-      }
-    }
+    FABRIC_ASSIGN_OR_RETURN(
+        ScanFilter filter,
+        CompileScanFilter(stmt.where.get(), schema, nullptr));
     storage::ScanSpec spec;
     spec.as_of = snapshot;
     spec.txn = wt.txn;
-    spec.predicate = &predicate;
-    if (residual != nullptr) {
-      spec.residual = [&](const Row& row) -> Result<bool> {
-        sql::EvalContext context;
-        context.schema = &schema;
-        context.row = &row;
-        context.udx = &db_->udx_resolver();
-        return sql::EvalPredicateLenient(*residual, context);
-      };
-    }
-    spec.residual_columns = &residual_columns;
+    AttachScanFilter(filter, schema, &db_->udx_resolver(), /*lenient=*/true,
+                     &spec);
 
     // Victim capture (full anchor-width rows, each logical row once)
     // for projection maintenance below.
@@ -1650,6 +1801,16 @@ Result<QueryResult> Session::ExecSelect(sim::Process& self,
   if (view_depth > 8) {
     return InvalidArgumentError("view nesting too deep");
   }
+  // The outermost SELECT owns the statement snapshot its scans share
+  // (ReadSnapshot) and unpins it when it returns.
+  struct SnapshotOwner {
+    Session* session;
+    ~SnapshotOwner() {
+      if (session == nullptr || !session->snapshot_.has_value()) return;
+      session->db_->UnpinEpoch(*session->snapshot_);
+      session->snapshot_.reset();
+    }
+  } snapshot_owner{view_depth == 0 ? this : nullptr};
   const CostModel& cost = db_->cost();
   const sql::UdxResolver* udx = &db_->udx_resolver();
   const sql::AggregateUdxResolver* agg_udx = &db_->aggregate_udx_resolver();
@@ -1705,11 +1866,7 @@ Result<QueryResult> Session::ExecSelect(sim::Process& self,
 
   std::string from = ToLower(select.from);
 
-  // INNER JOIN: a planned merge/hash join when both sides are base
-  // tables with a simple equality ON (ExecJoin), with a recursive
-  // scan-then-join fallback for views, system tables and complex ON
-  // clauses. Views over joins are what let V2S push join processing into
-  // Vertica (Section 3.1.1).
+  // INNER JOIN: both sides, one snapshot, one kernel (ExecJoin).
   if (!select.join.empty()) {
     return ExecJoin(self, select, to_client, view_depth, spill);
   }
@@ -1841,6 +1998,30 @@ Result<projections::PlanChoice> Session::ResolveScanPlan(
   return projections::ChoosePlan(db_->catalog(), def, shape);
 }
 
+Result<Epoch> Session::ReadSnapshot(int64_t at_epoch) {
+  if (snapshot_.has_value()) return *snapshot_;
+  Epoch snapshot = db_->current_epoch();
+  if (at_epoch >= 0) {
+    if (static_cast<Epoch>(at_epoch) > snapshot) {
+      return OutOfRangeError(StrCat("epoch ", at_epoch, " is in the future"));
+    }
+    if (static_cast<Epoch>(at_epoch) < db_->ahm()) {
+      // History at or below the Ancient History Mark may already be
+      // purged (rows deleted <= AHM are physically gone), so the read
+      // cannot be answered exactly.
+      return OutOfRangeError(StrCat(
+          "HISTORY_PURGED: epoch ", at_epoch,
+          " predates the ancient history mark ", db_->ahm()));
+    }
+    snapshot = static_cast<Epoch>(at_epoch);
+  }
+  // Pinned until the statement ends, so the AHM (and the purge behind
+  // it) cannot overtake a running scan.
+  db_->PinEpoch(snapshot);
+  snapshot_ = snapshot;
+  return snapshot;
+}
+
 Result<QueryResult> Session::ExecScanSelect(
     sim::Process& self, const sql::SelectStmt& select, const TableDef* def,
     const projections::PlanChoice& plan, bool to_client,
@@ -1870,32 +2051,7 @@ Result<QueryResult> Session::ExecScanSelect(
                      {"table", def->name}});
   }
 
-  Epoch snapshot;
-  if (select.at_epoch >= 0) {
-    if (static_cast<Epoch>(select.at_epoch) > db_->current_epoch()) {
-      return OutOfRangeError(
-          StrCat("epoch ", select.at_epoch, " is in the future"));
-    }
-    if (static_cast<Epoch>(select.at_epoch) < db_->ahm()) {
-      // History at or below the Ancient History Mark may already be
-      // purged (rows deleted <= AHM are physically gone), so the read
-      // cannot be answered exactly.
-      return OutOfRangeError(StrCat(
-          "HISTORY_PURGED: epoch ", select.at_epoch,
-          " predates the ancient history mark ", db_->ahm()));
-    }
-    snapshot = static_cast<Epoch>(select.at_epoch);
-  } else {
-    snapshot = db_->current_epoch();
-  }
-  // Pin the snapshot for the duration of the statement so the AHM (and
-  // the purge behind it) cannot overtake a running scan.
-  db_->PinEpoch(snapshot);
-  struct EpochPin {
-    Database* db;
-    Epoch epoch;
-    ~EpochPin() { db->UnpinEpoch(epoch); }
-  } epoch_pin{db_, snapshot};
+  FABRIC_ASSIGN_OR_RETURN(Epoch snapshot, ReadSnapshot(select.at_epoch));
 
   // Columns this query touches (column-store pruning).
   std::set<int> referenced;
@@ -1947,28 +2103,15 @@ Result<QueryResult> Session::ExecScanSelect(
     }
   }
 
-  // Resource-pool admission on the initiator.
-  FABRIC_RETURN_IF_ERROR(db_->PoolAdmit(self, node_));
-  struct PoolGuard {
-    Database* db;
-    int node;
-    ~PoolGuard() { db->PoolRelease(node); }
-  } pool_guard{db_, node_};
+  // A kill delivered while planning stops the statement before it scans.
+  FABRIC_RETURN_IF_ERROR(self.CheckAlive());
 
   // Shared state between the per-node scan processes and the streaming
   // loop below. Heap-allocated and self-contained so the scans stay valid
   // even if this process is killed mid-query.
   struct ScanState {
     Schema schema;
-    // WHERE compiled for the vectorized scan: kernel-runnable terms plus
-    // the interpreted residual (null when fully compiled).
-    storage::ScanPredicate predicate;
-    sql::ExprPtr residual;
-    // The residual lowered to a vectorized program (null: interpret
-    // per row). Compiled once per query on the initiator and shared by
-    // every node's scan process.
-    std::shared_ptr<const exec::Program> compiled_residual;
-    std::vector<int> residual_columns;
+    ScanFilter filter;
     std::vector<int> cost_columns;  // WHERE columns, charged per visible row
     std::vector<int> projection;    // referenced columns, charged per match
     Epoch snapshot;
@@ -1995,22 +2138,10 @@ Result<QueryResult> Session::ExecScanSelect(
   };
   auto state = std::make_shared<ScanState>();
   state->schema = schema;
+  FABRIC_ASSIGN_OR_RETURN(state->filter,
+                          CompileScanFilter(select.where.get(), schema,
+                                            db_->pipeline_compiler()));
   if (select.where != nullptr) {
-    sql::CompiledScan compiled =
-        sql::CompileScanPredicate(*select.where, schema);
-    state->predicate = std::move(compiled.predicate);
-    state->residual = std::move(compiled.residual);
-    if (state->residual != nullptr) {
-      if (db_->pipeline_compiler()->enabled()) {
-        state->compiled_residual =
-            db_->pipeline_compiler()->GetOrCompilePredicate(
-                *state->residual, schema);
-      }
-      std::set<int> cols;
-      FABRIC_RETURN_IF_ERROR(
-          CollectColumns(*state->residual, schema, &cols));
-      state->residual_columns.assign(cols.begin(), cols.end());
-    }
     std::set<int> where_columns;
     FABRIC_RETURN_IF_ERROR(
         CollectColumns(*select.where, schema, &where_columns));
@@ -2086,50 +2217,10 @@ Result<QueryResult> Session::ExecScanSelect(
             storage::ScanSpec spec;
             spec.as_of = state->snapshot;
             spec.txn = state->txn;
-            spec.predicate = &state->predicate;
-            std::function<Result<bool>(const Row&)> residual_fn;
-            if (state->residual != nullptr) {
-              // SELECT keeps strict semantics: residual evaluation errors
-              // fail the query, as the interpreter did.
-              residual_fn = [&](const Row& row) -> Result<bool> {
-                sql::EvalContext context;
-                context.schema = &state->schema;
-                context.row = &row;
-                context.udx = state->udx;
-                return sql::EvalPredicate(*state->residual, context);
-              };
-              spec.residual = residual_fn;
-              spec.residual_columns = &state->residual_columns;
-              if (state->compiled_residual != nullptr) {
-                const exec::Program* program =
-                    state->compiled_residual.get();
-                spec.batch_residual =
-                    [program](const std::vector<Row>& rows,
-                              std::vector<uint32_t>* keep) {
-                      exec::EvalState es;
-                      std::vector<uint32_t> active;
-                      std::vector<uint32_t> kept;
-                      for (size_t base = 0; base < rows.size();
-                           base += exec::kBlockRows) {
-                        size_t len =
-                            std::min(exec::kBlockRows, rows.size() - base);
-                        active.resize(len);
-                        for (size_t i = 0; i < len; ++i) {
-                          active[i] = static_cast<uint32_t>(i);
-                        }
-                        kept.clear();
-                        if (!exec::RunFilter(*program, rows.data() + base,
-                                             len, active, &es, &kept)) {
-                          return false;
-                        }
-                        for (uint32_t i : kept) {
-                          keep->push_back(static_cast<uint32_t>(base) + i);
-                        }
-                      }
-                      return true;
-                    };
-              }
-            }
+            // SELECT keeps strict semantics: residual evaluation errors
+            // fail the query, as the interpreter did.
+            AttachScanFilter(state->filter, state->schema, state->udx,
+                             /*lenient=*/false, &spec);
             spec.cost_columns = &state->cost_columns;
             spec.projection = &state->projection;
             spec.limit = state->scan_limit;
@@ -2285,31 +2376,17 @@ Result<std::optional<JoinQueryPlan>> Session::PlanJoinQuery(
   }
   Result<const TableDef*> left_or = db_->catalog().GetTable(select.from);
   Result<const TableDef*> right_or = db_->catalog().GetTable(select.join);
-  if (!left_or.ok() || !right_or.ok()) return none;  // legacy path reports
+  if (!left_or.ok() || !right_or.ok()) return none;  // the scan reports
   const TableDef* left = *left_or;
   const TableDef* right = *right_or;
 
   // ON must be a simple column equality resolving one column per anchor
-  // (either spelling); anything else joins through the legacy
-  // nested-loop path.
-  const sql::Expr& on = *select.join_on;
-  int lk = -1;
-  int rk = -1;
-  if (on.kind == sql::Expr::Kind::kBinary && on.op == "=" &&
-      on.args[0]->kind == sql::Expr::Kind::kColumnRef &&
-      on.args[1]->kind == sql::Expr::Kind::kColumnRef) {
-    auto l = left->schema.IndexOf(on.args[0]->column);
-    auto r = right->schema.IndexOf(on.args[1]->column);
-    if (!l.ok() || !r.ok()) {
-      l = left->schema.IndexOf(on.args[1]->column);
-      r = right->schema.IndexOf(on.args[0]->column);
-    }
-    if (l.ok() && r.ok()) {
-      lk = *l;
-      rk = *r;
-    }
-  }
-  if (lk < 0 || rk < 0) return none;
+  // (either spelling); anything else joins through the nested loop.
+  std::optional<EquiKeys> keys =
+      ResolveEquiKeys(*select.join_on, left->schema, right->schema);
+  if (!keys.has_value()) return none;
+  const int lk = keys->left;
+  const int rk = keys->right;
 
   JoinQueryPlan jq;
   jq.left_table = left;
@@ -2318,20 +2395,9 @@ Result<std::optional<JoinQueryPlan>> Session::PlanJoinQuery(
   jq.right_key = rk;
 
   // Column pruning: resolve every outer reference against the combined
-  // exposed schema (left anchor columns, then right anchor columns with
-  // collisions renamed <join>_<name>), then map each back to its side.
-  // Renames compare against the full left anchor schema — not the pruned
-  // subset — so the exposed names never depend on the projection choice.
+  // exposed schema, then map each back to its side.
   const int left_n = left->schema.num_columns();
-  std::vector<storage::ColumnDef> combined_columns = left->schema.columns();
-  for (const storage::ColumnDef& column : right->schema.columns()) {
-    storage::ColumnDef renamed = column;
-    if (left->schema.Contains(column.name)) {
-      renamed.name = StrCat(select.join, "_", column.name);
-    }
-    combined_columns.push_back(renamed);
-  }
-  Schema combined(std::move(combined_columns));
+  Schema combined = JoinedSchema(left->schema, right->schema, select.join);
   std::set<int> refs;
   bool star = false;
   for (const sql::SelectItem& item : select.items) {
@@ -2455,14 +2521,98 @@ Result<QueryResult> Session::ExecJoin(sim::Process& self,
   const sql::UdxResolver* udx = &db_->udx_resolver();
   const sql::AggregateUdxResolver* agg_udx = &db_->aggregate_udx_resolver();
 
+  // One flow for every INNER JOIN. Both sides read the statement
+  // snapshot (ReadSnapshot), whichever way they are scanned: a planned
+  // join scans each base table through its chosen layout (or joins them
+  // node-locally when co-located); anything else (views, system tables,
+  // self joins, complex ON) runs each side as an internal SELECT *.
+  // Equality ONs then go through the one EquiJoin kernel; the plan's
+  // hash/merge strategy only sets the CPU rate. Views over joins are
+  // what let V2S push join processing into Vertica (Section 3.1.1).
   FABRIC_ASSIGN_OR_RETURN(std::optional<JoinQueryPlan> planned,
                           PlanJoinQuery(select));
-  if (!planned.has_value()) {
-    // Legacy path (views, system tables, complex ON): execute both sides
-    // as internal distributed scans, join at the initiator (hash join on
-    // simple column equality, nested-loop otherwise), then run the outer
-    // pipeline over the combined rows. Views over joins are what let V2S
-    // push join processing into Vertica (Section 3.1.1).
+  Schema combined;
+  std::vector<Row> joined;
+  QueryResult left;
+  QueryResult right;
+  double join_cpu_per_row = cost.join_hash_cpu_per_row;
+  if (planned.has_value()) {
+    const JoinQueryPlan& jq = *planned;
+    const TableDef& left_t = *jq.left_table;
+    const TableDef& right_t = *jq.right_table;
+    const char* strategy = jq.plan.strategy();
+
+    // Workload capture for the designer: one request per side, so the
+    // designer sees which tables want join-key-sorted layouts.
+    auto record_side = [&](const TableDef& t, const std::vector<int>& needed,
+                           int key, const TableDef& other) {
+      QueryRequest request;
+      request.table = ToLower(t.name);
+      request.join_table = ToLower(other.name);
+      for (int c : needed) {
+        request.referenced.push_back(ToLower(t.schema.column(c).name));
+      }
+      request.join_keys.push_back(ToLower(t.schema.column(key).name));
+      for (const std::string& g : select.group_by) {
+        if (t.schema.Contains(g)) request.group_by.push_back(ToLower(g));
+      }
+      request.aggregate = !select.group_by.empty();
+      request.pool = resource_pool_;
+      request.strategy = strategy;
+      db_->RecordQueryRequest(std::move(request));
+    };
+    record_side(left_t, jq.left_needed, jq.left_key, right_t);
+    record_side(right_t, jq.right_needed, jq.right_key, left_t);
+
+    obs::IncrCounter(jq.plan.merge ? "vertica.merge_joins"
+                                   : "vertica.hash_joins");
+    obs::TraceEvent(
+        "vertica", "join.plan",
+        {{"strategy", strategy},
+         {"left", jq.plan.left.projection != nullptr
+                      ? jq.plan.left.projection->name
+                      : "super"},
+         {"right", jq.plan.right.projection != nullptr
+                       ? jq.plan.right.projection->name
+                       : "super"},
+         {"co_located", jq.plan.co_located ? 1 : 0}});
+
+    // The pruned columns, in anchor order per side.
+    std::vector<int> columns = jq.left_needed;
+    for (int c : jq.right_needed) {
+      columns.push_back(left_t.schema.num_columns() + c);
+    }
+    combined =
+        JoinedSchema(left_t.schema, right_t.schema, select.join).Project(columns);
+
+    if (jq.plan.co_located) {
+      FABRIC_ASSIGN_OR_RETURN(joined, ExecCoLocatedJoin(self, select, jq));
+    } else {
+      // Gathered join: scan each side through its chosen layout (pruned
+      // to the needed columns), then join at the initiator.
+      auto scan_side = [&](const TableDef& t, const std::vector<int>& needed,
+                           const projections::PlanChoice& pick)
+          -> Result<QueryResult> {
+        sql::SelectStmt sub;
+        for (int c : needed) {
+          sql::SelectItem item;
+          item.expr = sql::Expr::ColumnRef(t.schema.column(c).name);
+          sub.items.push_back(std::move(item));
+        }
+        sub.from = t.name;
+        sub.at_epoch = select.at_epoch;
+        return ExecScanSelect(self, sub, &t, pick, /*to_client=*/false,
+                              nullptr);
+      };
+      FABRIC_ASSIGN_OR_RETURN(left,
+                              scan_side(left_t, jq.left_needed, jq.plan.left));
+      FABRIC_ASSIGN_OR_RETURN(
+          right, scan_side(right_t, jq.right_needed, jq.plan.right));
+      // The merge rate skips the hash table build/probe because both
+      // inputs already arrive sorted on the key.
+      if (jq.plan.merge) join_cpu_per_row = cost.join_merge_cpu_per_row;
+    }
+  } else {
     auto scan_side = [&](const std::string& table) -> Result<QueryResult> {
       sql::SelectStmt sub;
       sql::SelectItem star;
@@ -2472,67 +2622,31 @@ Result<QueryResult> Session::ExecJoin(sim::Process& self,
       sub.at_epoch = select.at_epoch;
       return ExecSelect(self, sub, /*to_client=*/false, view_depth + 1);
     };
-    FABRIC_ASSIGN_OR_RETURN(QueryResult left, scan_side(select.from));
-    FABRIC_ASSIGN_OR_RETURN(QueryResult right, scan_side(select.join));
-
-    // Combined schema: left columns, then right columns; a right column
-    // whose name collides is exposed as <join>_<name>.
-    std::vector<storage::ColumnDef> combined_columns =
-        left.schema.columns();
-    for (const storage::ColumnDef& column : right.schema.columns()) {
-      storage::ColumnDef renamed = column;
-      if (left.schema.Contains(column.name)) {
-        renamed.name = StrCat(select.join, "_", column.name);
-      }
-      combined_columns.push_back(renamed);
-    }
-    Schema combined(std::move(combined_columns));
-
-    // Join CPU on the initiator: hash-join-shaped cost.
+    FABRIC_ASSIGN_OR_RETURN(left, scan_side(select.from));
+    FABRIC_ASSIGN_OR_RETURN(right, scan_side(select.join));
+    combined = JoinedSchema(left.schema, right.schema, select.join);
     obs::IncrCounter("vertica.hash_joins");
+  }
+
+  if (!planned.has_value() || !planned->plan.co_located) {
+    // Join CPU on the initiator, per input row.
     DataProfile join_cost;
     join_cost.rows = static_cast<double>(left.rows.size()) +
                      static_cast<double>(right.rows.size());
     join_cost.ScaleBy(cost.data_scale);
-    FABRIC_RETURN_IF_ERROR(
-        net::RunCpu(self, db_->network(), db_->node_host(node_),
-                    join_cost.rows * cost.join_hash_cpu_per_row));
-
-    // Hash join when ON is `leftcol = rightcol`; nested loop otherwise.
-    std::vector<Row> joined;
+    FABRIC_RETURN_IF_ERROR(net::RunCpu(self, db_->network(),
+                                       db_->node_host(node_),
+                                       join_cost.rows * join_cpu_per_row));
     const sql::Expr& on = *select.join_on;
-    int left_key = -1, right_key = -1;
-    if (on.kind == sql::Expr::Kind::kBinary && on.op == "=" &&
-        on.args[0]->kind == sql::Expr::Kind::kColumnRef &&
-        on.args[1]->kind == sql::Expr::Kind::kColumnRef) {
-      auto l = left.schema.IndexOf(on.args[0]->column);
-      auto r = right.schema.IndexOf(on.args[1]->column);
-      if (!l.ok() || !r.ok()) {
-        // Reversed spelling: right.col = left.col.
-        l = left.schema.IndexOf(on.args[1]->column);
-        r = right.schema.IndexOf(on.args[0]->column);
-      }
-      if (l.ok() && r.ok()) {
-        left_key = *l;
-        right_key = *r;
-      }
-    }
-    if (left_key >= 0) {
-      std::multimap<std::string, const Row*> build;
-      for (const Row& row : right.rows) {
-        if (row[right_key].is_null()) continue;  // NULL never joins
-        build.emplace(row[right_key].ToDisplayString(), &row);
-      }
-      for (const Row& lrow : left.rows) {
-        if (lrow[left_key].is_null()) continue;
-        auto [begin, end] =
-            build.equal_range(lrow[left_key].ToDisplayString());
-        for (auto it = begin; it != end; ++it) {
-          Row out = lrow;
-          out.insert(out.end(), it->second->begin(), it->second->end());
-          joined.push_back(std::move(out));
-        }
-      }
+    std::optional<EquiKeys> keys =
+        ResolveEquiKeys(on, left.schema, right.schema);
+    if (keys.has_value()) {
+      FABRIC_RETURN_IF_ERROR(EquiJoin(
+          left.rows, right.rows, *keys, [&joined](const Row& l, const Row& r) {
+            Row out = l;
+            out.insert(out.end(), r.begin(), r.end());
+            joined.push_back(std::move(out));
+          }));
     } else {
       for (const Row& lrow : left.rows) {
         for (const Row& rrow : right.rows) {
@@ -2545,175 +2659,6 @@ Result<QueryResult> Session::ExecJoin(sim::Process& self,
           FABRIC_ASSIGN_OR_RETURN(bool match,
                                   sql::EvalPredicate(on, context));
           if (match) joined.push_back(std::move(out));
-        }
-      }
-    }
-
-    FABRIC_ASSIGN_OR_RETURN(QueryResult result,
-                            LocalSelect(joined, combined, select, udx,
-                                        agg_udx, db_->pipeline_compiler(),
-                                        spill));
-    if (to_client) {
-      DataProfile profile = ProfileRows(result.rows);
-      profile.ScaleBy(cost.data_scale);
-      double wire = profile.JdbcWireBytes(cost);
-      double cap = profile.StreamRateCap(cost.result_stream_bytes_per_sec,
-                                         cost.result_row_overhead, wire);
-      FABRIC_RETURN_IF_ERROR(StreamToClient(self, wire, cap));
-    }
-    return result;
-  }
-
-  // Planned path: both sides are base tables scanning a chosen layout.
-  const JoinQueryPlan& jq = *planned;
-  const TableDef& left_t = *jq.left_table;
-  const TableDef& right_t = *jq.right_table;
-  const char* strategy = jq.plan.strategy();
-
-  // Workload capture for the designer: one request per side, so the
-  // designer sees which tables want join-key-sorted layouts.
-  auto record_side = [&](const TableDef& t, const std::vector<int>& needed,
-                         int key, const TableDef& other) {
-    QueryRequest request;
-    request.table = ToLower(t.name);
-    request.join_table = ToLower(other.name);
-    for (int c : needed) {
-      request.referenced.push_back(ToLower(t.schema.column(c).name));
-    }
-    request.join_keys.push_back(ToLower(t.schema.column(key).name));
-    for (const std::string& g : select.group_by) {
-      if (t.schema.Contains(g)) request.group_by.push_back(ToLower(g));
-    }
-    request.aggregate = !select.group_by.empty();
-    request.pool = resource_pool_;
-    request.strategy = strategy;
-    db_->RecordQueryRequest(std::move(request));
-  };
-  record_side(left_t, jq.left_needed, jq.left_key, right_t);
-  record_side(right_t, jq.right_needed, jq.right_key, left_t);
-
-  obs::IncrCounter(jq.plan.merge ? "vertica.merge_joins"
-                                 : "vertica.hash_joins");
-  obs::TraceEvent(
-      "vertica", "join.plan",
-      {{"strategy", strategy},
-       {"left", jq.plan.left.projection != nullptr
-                    ? jq.plan.left.projection->name
-                    : "super"},
-       {"right", jq.plan.right.projection != nullptr
-                     ? jq.plan.right.projection->name
-                     : "super"},
-       {"co_located", jq.plan.co_located ? 1 : 0}});
-
-  // Combined schema over the pruned column sets, in anchor order per
-  // side; the rename rule matches the legacy path (collisions against
-  // the full left anchor schema), so a query sees the same column names
-  // whichever strategy or projection pair serves it.
-  std::vector<storage::ColumnDef> combined_columns;
-  for (int c : jq.left_needed) {
-    combined_columns.push_back(left_t.schema.column(c));
-  }
-  for (int c : jq.right_needed) {
-    storage::ColumnDef renamed = right_t.schema.column(c);
-    if (left_t.schema.Contains(renamed.name)) {
-      renamed.name = StrCat(select.join, "_", renamed.name);
-    }
-    combined_columns.push_back(renamed);
-  }
-  Schema combined(std::move(combined_columns));
-
-  std::vector<Row> joined;
-  if (jq.plan.co_located) {
-    FABRIC_ASSIGN_OR_RETURN(joined, ExecCoLocatedJoin(self, select, jq));
-  } else {
-    // Gathered join: scan each side through its chosen layout (pruned to
-    // the needed columns), then join at the initiator.
-    auto scan_side = [&](const TableDef& t, const std::vector<int>& needed,
-                         const projections::PlanChoice& pick)
-        -> Result<QueryResult> {
-      sql::SelectStmt sub;
-      for (int c : needed) {
-        sql::SelectItem item;
-        item.expr = sql::Expr::ColumnRef(t.schema.column(c).name);
-        sub.items.push_back(std::move(item));
-      }
-      sub.from = t.name;
-      sub.at_epoch = select.at_epoch;
-      return ExecScanSelect(self, sub, &t, pick, /*to_client=*/false,
-                            nullptr);
-    };
-    FABRIC_ASSIGN_OR_RETURN(QueryResult left,
-                            scan_side(left_t, jq.left_needed, jq.plan.left));
-    FABRIC_ASSIGN_OR_RETURN(
-        QueryResult right,
-        scan_side(right_t, jq.right_needed, jq.plan.right));
-
-    // Join-key positions within the pruned rows.
-    const int lpos = static_cast<int>(
-        std::find(jq.left_needed.begin(), jq.left_needed.end(),
-                  jq.left_key) -
-        jq.left_needed.begin());
-    const int rpos = static_cast<int>(
-        std::find(jq.right_needed.begin(), jq.right_needed.end(),
-                  jq.right_key) -
-        jq.right_needed.begin());
-
-    // Join CPU on the initiator: the merge rate skips the hash table
-    // build/probe because both inputs already arrive sorted on the key.
-    DataProfile join_cost;
-    join_cost.rows = static_cast<double>(left.rows.size()) +
-                     static_cast<double>(right.rows.size());
-    join_cost.ScaleBy(cost.data_scale);
-    FABRIC_RETURN_IF_ERROR(net::RunCpu(
-        self, db_->network(), db_->node_host(node_),
-        join_cost.rows * (jq.plan.merge ? cost.join_merge_cpu_per_row
-                                        : cost.join_hash_cpu_per_row)));
-
-    if (jq.plan.merge) {
-      // Merge join: a stable sorted index over the right side replaces
-      // the hash table. Keys compare by display string — the same
-      // equality the hash path uses — and equal right keys keep their
-      // arrival order, so the output is byte-identical to the hash
-      // join's.
-      std::vector<std::pair<std::string, size_t>> index;
-      index.reserve(right.rows.size());
-      for (size_t i = 0; i < right.rows.size(); ++i) {
-        if (right.rows[i][rpos].is_null()) continue;  // NULL never joins
-        index.emplace_back(right.rows[i][rpos].ToDisplayString(), i);
-      }
-      std::stable_sort(index.begin(), index.end(),
-                       [](const auto& a, const auto& b) {
-                         return a.first < b.first;
-                       });
-      for (const Row& lrow : left.rows) {
-        if (lrow[lpos].is_null()) continue;
-        const std::string key = lrow[lpos].ToDisplayString();
-        auto it = std::lower_bound(
-            index.begin(), index.end(), key,
-            [](const auto& entry, const std::string& k) {
-              return entry.first < k;
-            });
-        for (; it != index.end() && it->first == key; ++it) {
-          Row out = lrow;
-          const Row& rrow = right.rows[it->second];
-          out.insert(out.end(), rrow.begin(), rrow.end());
-          joined.push_back(std::move(out));
-        }
-      }
-    } else {
-      std::multimap<std::string, const Row*> build;
-      for (const Row& row : right.rows) {
-        if (row[rpos].is_null()) continue;  // NULL never joins
-        build.emplace(row[rpos].ToDisplayString(), &row);
-      }
-      for (const Row& lrow : left.rows) {
-        if (lrow[lpos].is_null()) continue;
-        auto [begin, end] =
-            build.equal_range(lrow[lpos].ToDisplayString());
-        for (auto it = begin; it != end; ++it) {
-          Row out = lrow;
-          out.insert(out.end(), it->second->begin(), it->second->end());
-          joined.push_back(std::move(out));
         }
       }
     }
@@ -2741,35 +2686,9 @@ Result<std::vector<storage::Row>> Session::ExecCoLocatedJoin(
   const TableDef& left_t = *jq.left_table;
   const TableDef& right_t = *jq.right_table;
 
-  // Epoch snapshot: same rules as the single-table scan.
-  Epoch snapshot;
-  if (select.at_epoch >= 0) {
-    if (static_cast<Epoch>(select.at_epoch) > db_->current_epoch()) {
-      return OutOfRangeError(
-          StrCat("epoch ", select.at_epoch, " is in the future"));
-    }
-    if (static_cast<Epoch>(select.at_epoch) < db_->ahm()) {
-      return OutOfRangeError(StrCat(
-          "HISTORY_PURGED: epoch ", select.at_epoch,
-          " predates the ancient history mark ", db_->ahm()));
-    }
-    snapshot = static_cast<Epoch>(select.at_epoch);
-  } else {
-    snapshot = db_->current_epoch();
-  }
-  db_->PinEpoch(snapshot);
-  struct EpochPin {
-    Database* db;
-    Epoch epoch;
-    ~EpochPin() { db->UnpinEpoch(epoch); }
-  } epoch_pin{db_, snapshot};
-
-  FABRIC_RETURN_IF_ERROR(db_->PoolAdmit(self, node_));
-  struct PoolGuard {
-    Database* db;
-    int node;
-    ~PoolGuard() { db->PoolRelease(node); }
-  } pool_guard{db_, node_};
+  FABRIC_ASSIGN_OR_RETURN(Epoch snapshot, ReadSnapshot(select.at_epoch));
+  // A kill delivered while planning stops the statement before it scans.
+  FABRIC_RETURN_IF_ERROR(self.CheckAlive());
 
   // Storage sets for the chosen layouts.
   auto side_set = [this](const TableDef& t,
@@ -2797,13 +2716,14 @@ Result<std::vector<storage::Row>> Session::ExecCoLocatedJoin(
     }
   }
 
-  // Map each needed anchor column (and the join key) to its position in
-  // the scanned layout's store schema; rows are emitted in anchor order
-  // so the combined layout matches the gathered path's exactly.
+  // Map each needed anchor column to its position in the scanned
+  // layout's store schema; rows are emitted in anchor order so the
+  // combined layout matches the gathered path's exactly. The join keys
+  // resolve by name against the layouts, as ExecJoin resolves them
+  // against the gathered rows.
   auto side_positions = [](const projections::PlanChoice& pick,
-                           const std::vector<int>& needed, int key,
-                           std::vector<int>* positions,
-                           int* key_position) -> Status {
+                           const std::vector<int>& needed,
+                           std::vector<int>* positions) -> Status {
     auto to_store = [&pick](int anchor_col) -> int {
       const ProjectionDef* proj = pick.projection;
       if (proj == nullptr) return anchor_col;
@@ -2817,20 +2737,23 @@ Result<std::vector<storage::Row>> Session::ExecCoLocatedJoin(
       if (p < 0) return InternalError("projection missing a needed column");
       positions->push_back(p);
     }
-    *key_position = to_store(key);
-    if (*key_position < 0) {
-      return InternalError("projection missing the join key");
-    }
     return Status::OK();
   };
   std::vector<int> left_positions, right_positions;
-  int left_key_position = -1, right_key_position = -1;
-  FABRIC_RETURN_IF_ERROR(side_positions(jq.plan.left, jq.left_needed,
-                                        jq.left_key, &left_positions,
-                                        &left_key_position));
-  FABRIC_RETURN_IF_ERROR(side_positions(jq.plan.right, jq.right_needed,
-                                        jq.right_key, &right_positions,
-                                        &right_key_position));
+  FABRIC_RETURN_IF_ERROR(
+      side_positions(jq.plan.left, jq.left_needed, &left_positions));
+  FABRIC_RETURN_IF_ERROR(
+      side_positions(jq.plan.right, jq.right_needed, &right_positions));
+  auto layout_schema = [](const TableDef& t,
+                          const projections::PlanChoice& pick) {
+    return pick.projection != nullptr ? &pick.projection->schema : &t.schema;
+  };
+  std::optional<EquiKeys> keys =
+      ResolveEquiKeys(*select.join_on, *layout_schema(left_t, jq.plan.left),
+                      *layout_schema(right_t, jq.plan.right));
+  if (!keys.has_value()) {
+    return InternalError("join layout missing the join key");
+  }
 
   const Segmentation& left_seg = jq.plan.left.projection != nullptr
                                      ? jq.plan.left.projection->segmentation
@@ -2894,7 +2817,7 @@ Result<std::vector<storage::Row>> Session::ExecCoLocatedJoin(
     Epoch snapshot;
     TxnId txn;
     std::vector<int> left_positions, right_positions;
-    int left_key_position, right_key_position;
+    EquiKeys keys;
     double left_scale, right_scale;
     int initiator;
     std::vector<std::vector<Row>> node_rows;
@@ -2909,8 +2832,7 @@ Result<std::vector<storage::Row>> Session::ExecCoLocatedJoin(
   state->txn = txn_;
   state->left_positions = left_positions;
   state->right_positions = right_positions;
-  state->left_key_position = left_key_position;
-  state->right_key_position = right_key_position;
+  state->keys = *keys;
   state->left_scale = db_->EffectiveScale(left_t.name);
   state->right_scale = db_->EffectiveScale(right_t.name);
   state->initiator = node_;
@@ -2949,41 +2871,23 @@ Result<std::vector<storage::Row>> Session::ExecCoLocatedJoin(
                 left_stats.rows_visible * state->left_scale +
                     right_stats.rows_visible * state->right_scale);
 
-            // Node-local merge join, emitting combined rows pruned to the
-            // needed columns in anchor order (see ExecJoin): left rows in
-            // storage order, matches in right storage order — the same
-            // order the gathered hash join produces for this segment.
-            std::vector<std::pair<std::string, size_t>> index;
-            index.reserve(right_rows.size());
-            for (size_t i = 0; i < right_rows.size(); ++i) {
-              const Value& key = right_rows[i][state->right_key_position];
-              if (key.is_null()) continue;  // NULL never joins
-              index.emplace_back(key.ToDisplayString(), i);
-            }
-            std::stable_sort(index.begin(), index.end(),
-                             [](const auto& a, const auto& b) {
-                               return a.first < b.first;
-                             });
+            // Node-local join, emitting combined rows pruned to the
+            // needed columns in anchor order: left rows in storage order,
+            // matches in right storage order — the same order the
+            // gathered join produces for this segment.
             std::vector<Row> out;
-            for (const Row& lrow : left_rows) {
-              const Value& key_value = lrow[state->left_key_position];
-              if (key_value.is_null()) continue;
-              const std::string key = key_value.ToDisplayString();
-              auto it = std::lower_bound(
-                  index.begin(), index.end(), key,
-                  [](const auto& entry, const std::string& k) {
-                    return entry.first < k;
-                  });
-              for (; it != index.end() && it->first == key; ++it) {
-                const Row& rrow = right_rows[it->second];
-                Row row;
-                row.reserve(state->left_positions.size() +
-                            state->right_positions.size());
-                for (int p : state->left_positions) row.push_back(lrow[p]);
-                for (int p : state->right_positions) row.push_back(rrow[p]);
-                out.push_back(std::move(row));
-              }
-            }
+            FABRIC_RETURN_IF_ERROR(EquiJoin(
+                left_rows, right_rows, state->keys,
+                [&](const Row& lrow, const Row& rrow) {
+                  Row row;
+                  row.reserve(state->left_positions.size() +
+                              state->right_positions.size());
+                  for (int p : state->left_positions) row.push_back(lrow[p]);
+                  for (int p : state->right_positions) {
+                    row.push_back(rrow[p]);
+                  }
+                  out.push_back(std::move(row));
+                }));
 
             // Virtual-time cost: both scans' bytes and container opens
             // plus the merge-join CPU per input row, all on the serving

@@ -165,8 +165,10 @@ class Session {
                                  const sql::SelectStmt& select,
                                  bool to_client, int view_depth);
   // The INNER JOIN arm of ExecSelect: plans both sides (merge join on
-  // co-sorted projections, hash join otherwise), falls back to the
-  // recursive scan-and-hash path for views / system tables / complex ON.
+  // co-sorted projections, hash join otherwise; views, system tables
+  // and complex ON scan each side as an internal SELECT *), then joins
+  // equality ONs with the one equi-join kernel and anything else with a
+  // nested loop.
   Result<QueryResult> ExecJoin(sim::Process& self,
                                const sql::SelectStmt& select, bool to_client,
                                int view_depth, const exec::SpillPolicy* spill);
@@ -184,6 +186,12 @@ class Session {
   Result<std::vector<storage::Row>> ExecCoLocatedJoin(
       sim::Process& self, const sql::SelectStmt& select,
       const JoinQueryPlan& jq);
+  // The epoch every scan of the running SELECT reads. The first scan
+  // resolves it (AT EPOCH `at_epoch`, or the current epoch when < 0),
+  // failing OUT_OF_RANGE for a future epoch or one below the AHM, and
+  // pins it; later scans — the other join side, view bodies — share it.
+  // The outermost ExecSelect unpins it when the statement ends.
+  Result<storage::Epoch> ReadSnapshot(int64_t at_epoch);
   // Resolves the physical layout for one base-table scan: the per-table
   // forced hint first (typed error when it cannot serve the shape), then
   // the legacy session-wide hint (silent fallback), then the cost-based
@@ -191,8 +199,9 @@ class Session {
   Result<projections::PlanChoice> ResolveScanPlan(
       const TableDef& def, const projections::QueryShape& shape) const;
   // Plans a two-table INNER JOIN. nullopt = not plannable here (a view /
-  // system-table side, self join, or non-equality ON) — the caller uses
-  // the legacy recursive path. Typed forced-hint errors propagate.
+  // system-table side, self join, or non-equality ON) — the caller scans
+  // each side as an internal SELECT *. Typed forced-hint errors
+  // propagate.
   Result<std::optional<JoinQueryPlan>> PlanJoinQuery(
       const sql::SelectStmt& select) const;
   Result<QueryResult> ExecCreateTable(sim::Process& self,
@@ -248,6 +257,7 @@ class Session {
   std::string resource_pool_;
   double memory_request_ = 0;
   wm::Grant wm_grant_;
+  std::optional<storage::Epoch> snapshot_;  // see ReadSnapshot
   storage::Epoch last_commit_epoch_ = 0;
   int64_t last_update_affected_ = -1;
   bool closed_ = false;

@@ -59,7 +59,7 @@ struct WorkloadConfig {
   std::string default_pool = "general";
 
   // The workload manager is built only when at least one pool is
-  // configured; an empty config is the legacy flat-semaphore database.
+  // configured; an empty config admits every statement at once.
   bool enabled() const { return !pools.empty(); }
 };
 

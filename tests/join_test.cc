@@ -3,9 +3,11 @@
 // identity between every join strategy and layout combination, the
 // per-table forced-projection hint and the forced-join-strategy hook
 // (typed errors), virtual-time ordering (merge beats hash on the same
-// layouts), workload capture into v_monitor.query_requests, and a
-// seeded chaos suite (JOIN_SEED) asserting byte-identical join answers
-// across strategies through random DML and a node kill.
+// layouts), workload capture into v_monitor.query_requests, join keys
+// under SQL `=`, one read snapshot per join statement (AT EPOCH checks
+// included), and a seeded chaos suite (JOIN_SEED) asserting
+// byte-identical join answers across strategies through random DML and
+// a node kill.
 
 #include <cstdint>
 #include <memory>
@@ -67,13 +69,14 @@ class JoinTest : public ::testing::Test {
  protected:
   JoinTest() { Recreate(); }
 
-  void Recreate() {
+  void Recreate(const TupleMoverConfig& tm = {}) {
     db_.reset();
     network_.reset();
     engine_ = std::make_unique<sim::Engine>();
     network_ = std::make_unique<net::Network>(engine_.get());
     Database::Options vopts;
     vopts.num_nodes = 4;
+    vopts.tuple_mover = tm;
     db_ = std::make_unique<Database>(engine_.get(), network_.get(), vopts);
   }
 
@@ -102,6 +105,16 @@ class JoinTest : public ::testing::Test {
     auto result = Exec(driver, sql, hints);
     EXPECT_TRUE(result.ok()) << sql << ": " << result.status();
     return result.ok() ? std::move(*result) : QueryResult{};
+  }
+
+  // A statement's rows, one line each, or its error.
+  std::string Outcome(sim::Process& driver, const std::string& sql,
+                      const SessionHints& hints = {}) {
+    auto result = Exec(driver, sql, hints);
+    if (!result.ok()) return StrCat("error: ", result.status().ToString());
+    std::string out;
+    for (const std::string& line : Lines(*result)) out += line + "\n";
+    return out;
   }
 
   // fact(id, cust, amount) segmented by id; dim(cust_id, region)
@@ -446,6 +459,228 @@ TEST_F(JoinTest, JoinsAreCapturedInQueryRequests) {
     QueryResult ids = ExecOk(
         driver, "SELECT COUNT(*) FROM v_monitor.query_requests");
     EXPECT_GE(ids.rows[0][0].int64_value(), 2);
+  });
+}
+
+// ------------------------------------------------------- SQL `=` keys
+
+// Two non-NULL keys join exactly when SQL `=` holds (Value::Compare is
+// 0), never by display string: every strategy, and a view side, must
+// answer what the nested loop over `ON a = b AND 1 = 1` answers — a
+// match for -0.0 vs 0.0 and for FLOAT 1e17 vs INTEGER 10^17, and the
+// comparison error for INTEGER vs VARCHAR, in either ON spelling.
+TEST_F(JoinTest, JoinKeysFollowSqlEquality) {
+  struct Case {
+    const char* left_type;
+    const char* left_value;
+    const char* right_type;
+    const char* right_value;
+    bool comparable;
+  };
+  const Case kCases[] = {
+      {"FLOAT", "-0.0", "FLOAT", "0.0", true},
+      {"FLOAT", "100000000000000000.0", "INTEGER", "100000000000000000",
+       true},
+      {"INTEGER", "1", "VARCHAR", "'1'", false},
+  };
+  for (const Case& c : kCases) {
+    SCOPED_TRACE(StrCat(c.left_type, " ", c.left_value, " = ", c.right_type,
+                        " ", c.right_value));
+    Recreate();
+    RunDriver([&](sim::Process& driver) {
+      ExecOk(driver, StrCat("CREATE TABLE a (x ", c.left_type,
+                            ", tag VARCHAR) SEGMENTED BY HASH(x) ALL NODES"));
+      ExecOk(driver, StrCat("CREATE TABLE b (y ", c.right_type,
+                            ", tag2 VARCHAR) SEGMENTED BY HASH(y) ALL NODES"));
+      ExecOk(driver, StrCat("INSERT INTO a VALUES (", c.left_value,
+                            ", 'l1'), (NULL, 'l2')"));
+      ExecOk(driver, StrCat("INSERT INTO b VALUES (", c.right_value,
+                            ", 'r1'), (NULL, 'r2')"));
+      ExecOk(driver, "CREATE VIEW av AS SELECT * FROM a");
+      // (hints, FROM side) runs compared against the nested loop; the
+      // forced strategies need the sorted layouts created below.
+      auto check = [&](bool with_layouts) {
+        for (const char* on : {"x = y", "y = x"}) {
+          SCOPED_TRACE(StrCat("ON ", on, with_layouts ? " (sorted)" : ""));
+          const std::string q =
+              StrCat("SELECT tag, tag2 FROM a JOIN b ON ", on);
+          const std::string expected =
+              Outcome(driver, StrCat(q, " AND 1 = 1"));
+          if (c.comparable) {
+            EXPECT_EQ(expected, "l1|r1|\n");
+          } else {
+            EXPECT_NE(expected.find("cannot compare"), std::string::npos)
+                << expected;
+          }
+          EXPECT_EQ(expected, Outcome(driver, q));
+          EXPECT_EQ(expected,
+                    Outcome(driver, StrCat("SELECT tag, tag2 FROM av "
+                                           "JOIN b ON ",
+                                           on)));
+          if (!with_layouts) continue;
+          SessionHints hash;
+          hash.join_strategy = "hash";
+          EXPECT_EQ(expected, Outcome(driver, q, hash));
+          SessionHints merge;
+          merge.join_strategy = "merge";
+          EXPECT_EQ(expected, Outcome(driver, q, merge));
+        }
+      };
+      check(/*with_layouts=*/false);
+      ExecOk(driver,
+             "CREATE PROJECTION a_by_x AS SELECT x, tag FROM a ORDER BY x "
+             "SEGMENTED BY HASH(x)");
+      ExecOk(driver,
+             "CREATE PROJECTION b_by_y AS SELECT y, tag2 FROM b ORDER BY y "
+             "SEGMENTED BY HASH(y)");
+      EXPECT_NE(PlanText(ExecOk(driver, "EXPLAIN SELECT tag, tag2 FROM a "
+                                        "JOIN b ON x = y"))
+                    .find("merge join"),
+                std::string::npos);
+      check(/*with_layouts=*/true);
+    });
+  }
+}
+
+// ------------------------------------------------------------ snapshot
+
+// Every scan of a join statement reads one snapshot. A writer deletes
+// the left row `victim` and inserts its only right-side match in one
+// transaction; its commit lands at an offset swept across the join's
+// first side scan (under 1 ms of virtual time for 4 000 left rows). At
+// every offset the join sees the row and no match, or the match and no
+// row: COUNT 0, never the pair that exists at no epoch. Covers the
+// gathered join and the view (unplanned) path.
+TEST_F(JoinTest, JoinSidesReadOneSnapshot) {
+  constexpr int kLeftRows = 4000;
+  constexpr int kSteps = 20;
+  constexpr double kStep = 1e-4;
+  for (const char* from : {"l", "lv"}) {
+    for (int step = 0; step <= kSteps; ++step) {
+      // Commit epoch relative to the first side's scan start, -0.3 ms
+      // .. +1.7 ms.
+      const double offset = (step - 3) * kStep;
+      SCOPED_TRACE(StrCat("FROM ", from, ", commit at scan start + ",
+                          offset, " s"));
+      Recreate();
+      obs::Tracer tracer([this] { return engine_->now(); });
+      obs::ScopedTracer install(&tracer);
+      RunDriver([&](sim::Process& driver) {
+        ExecOk(driver,
+               "CREATE TABLE l (k INTEGER, name VARCHAR) "
+               "SEGMENTED BY HASH(k) ALL NODES");
+        ExecOk(driver,
+               "CREATE TABLE r (k2 INTEGER) SEGMENTED BY HASH(k2) ALL NODES");
+        ExecOk(driver, "CREATE VIEW lv AS SELECT * FROM l");
+        std::string values;
+        for (int i = 0; i < kLeftRows; ++i) {
+          values += StrCat(values.empty() ? "" : ", ", "(", i, ", '",
+                           i == 0 ? "victim" : "row", "')");
+          if ((i + 1) % 500 == 0) {
+            ExecOk(driver, StrCat("INSERT INTO l VALUES ", values));
+            values.clear();
+          }
+        }
+        ExecOk(driver, "INSERT INTO r VALUES (-1), (-2), (-3)");
+
+        // Both statements pay the same parse/plan CPU before they act,
+        // and a COMMIT then waits out the commit latency: issuing it
+        // commit_overhead + offset after the SELECT lands its epoch
+        // `offset` after the SELECT starts scanning.
+        const double start = engine_->now() + 1.0;
+        const double commit_at =
+            start + offset - db_->cost().commit_overhead;
+        engine_->Spawn("writer", [&](sim::Process& writer) {
+          auto session = db_->Connect(writer, 1, nullptr);
+          ASSERT_TRUE(session.ok()) << session.status();
+          for (const char* sql : {"BEGIN",
+                                  "DELETE FROM l WHERE name = 'victim'",
+                                  "INSERT INTO r VALUES (0)"}) {
+            auto result = (*session)->Execute(writer, sql);
+            ASSERT_TRUE(result.ok()) << sql << ": " << result.status();
+          }
+          ASSERT_GT(commit_at, engine_->now());
+          ASSERT_TRUE(writer.Sleep(commit_at - engine_->now()).ok());
+          auto commit = (*session)->Execute(writer, "COMMIT");
+          ASSERT_TRUE(commit.ok()) << commit.status();
+          ASSERT_TRUE((*session)->Close(writer).ok());
+        });
+
+        auto session = db_->Connect(driver, 0, nullptr);
+        ASSERT_TRUE(session.ok()) << session.status();
+        ASSERT_GT(start, engine_->now());
+        ASSERT_TRUE(driver.Sleep(start - engine_->now()).ok());
+        auto count = (*session)->Execute(
+            driver, StrCat("SELECT COUNT(*) FROM ", from, " JOIN r ON k = k2"));
+        const double end = engine_->now();
+        ASSERT_TRUE(count.ok()) << count.status();
+        EXPECT_EQ(count->rows[0][0].int64_value(), 0);
+        ASSERT_TRUE((*session)->Close(driver).ok());
+        ASSERT_TRUE(driver.Sleep(0.2).ok());
+
+        // The sweep stays meaningful only while the commit really lands
+        // inside the SELECT.
+        double committed = -1;
+        for (const obs::Event& event : tracer.events()) {
+          if (event.name == "txn.commit") committed = event.time;
+        }
+        EXPECT_GT(committed, start);
+        EXPECT_LT(committed, end);
+      });
+    }
+  }
+}
+
+// The AT EPOCH checks run once per statement, for joins as for scans: a
+// future epoch and one below the AHM fail every join placement with the
+// single-table scan's OUT_OF_RANGE message.
+TEST_F(JoinTest, AtEpochErrorsMatchSingleTableScans) {
+  TupleMoverConfig tm;
+  tm.ahm_interval = 0.1;
+  tm.retention_epochs = 4;
+  Recreate(tm);
+  RunDriver([&](sim::Process& driver) {
+    LoadFixture(driver, 120, 20);
+    CreateSortedProjections(driver, /*colocate=*/true);
+    ExecOk(driver, "CREATE VIEW dim_v AS SELECT * FROM dim");
+    ASSERT_TRUE(driver.Sleep(2.0).ok());  // let the AHM catch up
+    ASSERT_GT(db_->ahm(), 1u);
+
+    const std::string join =
+        "SELECT COUNT(*) FROM fact JOIN dim ON cust = cust_id";
+    SessionHints hash;
+    hash.join_strategy = "hash";
+    EXPECT_NE(PlanText(ExecOk(driver, "EXPLAIN " + join))
+                  .find("merge join (co-located)"),
+              std::string::npos);
+    EXPECT_NE(PlanText(ExecOk(driver, "EXPLAIN " + join, hash))
+                  .find("hash join"),
+              std::string::npos);
+
+    const int64_t future = static_cast<int64_t>(db_->current_epoch()) + 5;
+    for (int64_t epoch : {int64_t{1}, future}) {
+      const std::string at = StrCat(" AT EPOCH ", epoch);
+      SCOPED_TRACE(at);
+      auto scan = Exec(driver, "SELECT COUNT(*) FROM fact" + at);
+      ASSERT_FALSE(scan.ok());
+      EXPECT_EQ(scan.status().code(), StatusCode::kOutOfRange);
+      EXPECT_NE(scan.status().ToString().find(
+                    epoch == 1 ? "HISTORY_PURGED" : "in the future"),
+                std::string::npos)
+          << scan.status();
+      for (const auto& [name, result] :
+           {std::pair{"co-located", Exec(driver, join + at)},
+            std::pair{"gathered", Exec(driver, join + at, hash)},
+            std::pair{"view side",
+                      Exec(driver,
+                           "SELECT COUNT(*) FROM fact JOIN dim_v "
+                           "ON cust = cust_id" +
+                               at)}}) {
+        SCOPED_TRACE(name);
+        ASSERT_FALSE(result.ok());
+        EXPECT_EQ(result.status().ToString(), scan.status().ToString());
+      }
+    }
   });
 }
 
