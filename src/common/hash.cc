@@ -1,6 +1,8 @@
 #include "common/hash.h"
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 
 namespace fabric {
 
@@ -25,8 +27,10 @@ uint64_t HashInt64(int64_t value) {
 }
 
 uint64_t HashDouble(double value) {
-  // Normalize -0.0 to +0.0 so equal values hash equally.
+  // Normalize -0.0 to +0.0 and every NaN to one NaN, so values equal
+  // under SQL `=` (storage::CompareNumbers) hash equally.
   if (value == 0.0) value = 0.0;
+  if (std::isnan(value)) value = std::numeric_limits<double>::quiet_NaN();
   uint64_t bits;
   static_assert(sizeof(bits) == sizeof(value));
   std::memcpy(&bits, &value, sizeof(bits));

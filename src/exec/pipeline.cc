@@ -332,13 +332,12 @@ class Evaluator {
       if (n.string_compare) {
         int r = a.strings[i].compare(b.strings[i]);
         c = r < 0 ? -1 : (r > 0 ? 1 : 0);
+      } else if (a.type == DataType::kInt64 && b.type == DataType::kInt64) {
+        // Value::Compare: two INTEGERs compare exactly ...
+        c = storage::CompareIntegers(a.ints[i], b.ints[i]);
       } else {
-        // Value::Compare's numeric path: both sides through AsDouble,
-        // including int-int (so >2^53 integers lose precision here
-        // exactly as they do in the interpreter).
-        double x = a.Number(i);
-        double y = b.Number(i);
-        c = x < y ? -1 : (x > y ? 1 : 0);
+        // ... any other numeric pair by value through double.
+        c = storage::CompareNumbers(a.Number(i), b.Number(i));
       }
       bool v = false;
       switch (n.cmp) {
@@ -488,10 +487,10 @@ bool FoldRow(const CompiledSelect& select, uint32_t i,
           int c;
           if (lanes.type == DataType::kVarchar) {
             c = lanes.strings[i].compare(best.varchar_value());
+          } else if (lanes.type == DataType::kInt64) {
+            c = storage::CompareIntegers(lanes.ints[i], best.int64_value());
           } else {
-            const double x = lanes.Number(i);
-            const double y = best.NumericValue();
-            c = x < y ? -1 : (x > y ? 1 : 0);
+            c = storage::CompareNumbers(lanes.Number(i), best.NumericValue());
           }
           take = func.fn == AggFn::kMin ? c < 0 : c > 0;
         }

@@ -9,12 +9,6 @@ namespace fabric::storage {
 
 namespace {
 
-// Three-way compare of a scalar against the term literal. NaN compares
-// "equal" (neither < nor >), matching Value::Compare.
-inline int NumericThreeWay(double a, double b) {
-  return a < b ? -1 : (a > b ? 1 : 0);
-}
-
 inline int StringThreeWay(std::string_view a, std::string_view b) {
   int c = a.compare(b);
   return c < 0 ? -1 : (c > 0 ? 1 : 0);
@@ -25,7 +19,7 @@ inline int StringThreeWay(std::string_view a, std::string_view b) {
 inline int SlotThreeWay(const CompareTerm& term, const TypedVec& values,
                         DataType type, size_t i) {
   if (term.is_string) return StringThreeWay(values.StringAt(i), term.text);
-  return NumericThreeWay(values.NumberAt(type, i), term.number);
+  return CompareNumbers(values.NumberAt(type, i), term.number);
 }
 
 // Maps each batch row to its TypedVec/code slot: slot_of[row - base] is
@@ -91,7 +85,7 @@ bool ScanPredicate::Matches(const Row& row) const {
     const Value& v = row[t.column];
     if (v.is_null()) return false;
     int c = t.is_string ? StringThreeWay(v.varchar_value(), t.text)
-                        : NumericThreeWay(v.NumericValue(), t.number);
+                        : CompareNumbers(v.NumericValue(), t.number);
     if (!ComparePasses(t.op, c)) return false;
   }
   for (const NullTestTerm& t : null_tests) {
@@ -115,8 +109,8 @@ bool CompareTermCanMatch(const CompareTerm& term, const Value& min,
     hi = StringThreeWay(max.varchar_value(), term.text);
   } else {
     if (min.type() == DataType::kVarchar) return true;  // mixed: no prune
-    lo = NumericThreeWay(min.NumericValue(), term.number);
-    hi = NumericThreeWay(max.NumericValue(), term.number);
+    lo = CompareNumbers(min.NumericValue(), term.number);
+    hi = CompareNumbers(max.NumericValue(), term.number);
   }
   switch (term.op) {
     case CompareOp::kEq:
@@ -148,7 +142,7 @@ void FilterCompare(const CompareTerm& term, const ColumnCursor& cursor,
           const double lit = term.number;
           for (uint32_t pos : *sel) {
             double a = batch.values.NumberAt(type, pos - batch.base);
-            if (ComparePasses(term.op, NumericThreeWay(a, lit))) {
+            if (ComparePasses(term.op, CompareNumbers(a, lit))) {
               out.push_back(pos);
             }
           }

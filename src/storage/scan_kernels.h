@@ -23,8 +23,10 @@ enum class CompareOp : uint8_t { kEq, kNe, kLt, kLe, kGt, kGe };
 const char* CompareOpName(CompareOp op);
 
 // `column <op> literal` over one column. Numeric terms compare through
-// double (matching Value::Compare's cross-type numeric semantics, bool
-// included); string terms compare bytes. NULL rows never pass.
+// double (CompareNumbers, matching Value::Compare's cross-type numeric
+// semantics, bool included); that order is exact for an INTEGER column
+// only because the analyzer compiles INTEGER literals below 2^53 alone.
+// String terms compare bytes. NULL rows never pass.
 struct CompareTerm {
   int column = 0;
   CompareOp op = CompareOp::kEq;

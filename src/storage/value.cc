@@ -97,13 +97,13 @@ Result<int> Value::Compare(const Value& other) const {
     int c = varchar_value().compare(other.varchar_value());
     return c < 0 ? -1 : (c > 0 ? 1 : 0);
   }
+  if (type() == DataType::kInt64 && other.type() == DataType::kInt64) {
+    // Through double, distinct integers beyond 2^53 would compare equal.
+    return CompareIntegers(int64_value(), other.int64_value());
+  }
   auto a = AsDouble();
   auto b = other.AsDouble();
-  if (a.ok() && b.ok()) {
-    if (*a < *b) return -1;
-    if (*a > *b) return 1;
-    return 0;
-  }
+  if (a.ok() && b.ok()) return CompareNumbers(*a, *b);
   return InvalidArgumentError(
       StrCat("cannot compare ", DataTypeName(type()), " with ",
              DataTypeName(other.type())));

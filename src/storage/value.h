@@ -1,6 +1,7 @@
 #ifndef FABRIC_STORAGE_VALUE_H_
 #define FABRIC_STORAGE_VALUE_H_
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -19,6 +20,21 @@ const char* DataTypeName(DataType type);
 // Parses "int"/"integer"/"bigint", "float"/"double", "varchar"/"string",
 // "bool"/"boolean" (case-insensitive, as the SQL layer sees them).
 Result<DataType> ParseDataType(std::string_view name);
+
+// SQL order of two numbers: the usual order (-0.0 equals 0.0), except
+// that NaN equals NaN and sorts after every other number, so ORDER BY,
+// MIN/MAX, `=` and joins all agree on it.
+inline int CompareNumbers(double a, double b) {
+  if (a < b) return -1;
+  if (a > b) return 1;
+  const bool a_nan = std::isnan(a);
+  return a_nan == std::isnan(b) ? 0 : (a_nan ? 1 : -1);
+}
+
+// Exact three-way order of two integers.
+inline int CompareIntegers(int64_t a, int64_t b) {
+  return a < b ? -1 : (a > b ? 1 : 0);
+}
 
 // A single nullable SQL value. Small, copyable; the fabric's lingua franca
 // between Spark Rows, Vertica storage and the connectors.
@@ -70,9 +86,10 @@ class Value {
   // test bookkeeping.
   bool Equals(const Value& other) const;
 
-  // Three-way comparison for ORDER/min-max: nulls sort first; numeric
-  // types compare by value across int/float; mismatched non-numeric types
-  // are an error.
+  // Three-way comparison for ORDER/min-max/`=`: nulls sort first; two
+  // INTEGERs compare exactly; other numeric pairs compare by value across
+  // bool/int/float (CompareNumbers); mismatched non-numeric types are an
+  // error.
   Result<int> Compare(const Value& other) const;
 
   // Segmentation/ring hash of this value (see common/hash.h).

@@ -207,52 +207,62 @@ std::optional<EquiKeys> ResolveEquiKeys(const sql::Expr& on,
   return std::nullopt;
 }
 
-// A non-NULL join key as SQL `=` sees it: BOOLEAN, INTEGER and FLOAT
-// compare by numeric value, exactly as Value::Compare does (so -0.0 =
-// 0.0 and 1e17 = 100000000000000000); VARCHAR compares by bytes.
+// A non-NULL join key, ordered exactly as Value::Compare orders it: two
+// INTEGERs exactly; other BOOLEAN/INTEGER/FLOAT pairs by value through
+// CompareNumbers (so -0.0 = 0.0, FLOAT 1e17 = INTEGER 10^17, and NaN
+// equals only NaN); VARCHAR by bytes. Text never meets a number here:
+// EquiJoin fails that pair first, as `=` does.
 struct JoinKey {
-  bool text = false;
+  enum class Kind : uint8_t { kInteger, kNumber, kText };
+  Kind kind = Kind::kNumber;
+  int64_t integer = 0;
   double number = 0;
   const std::string* bytes = nullptr;
 
   explicit JoinKey(const Value& v) {
-    if (v.type() == DataType::kVarchar) {
-      text = true;
-      bytes = &v.varchar_value();
-    } else {
-      number = v.NumericValue();
+    switch (v.type()) {
+      case DataType::kVarchar:
+        kind = Kind::kText;
+        bytes = &v.varchar_value();
+        break;
+      case DataType::kInt64:
+        kind = Kind::kInteger;
+        integer = v.int64_value();
+        number = static_cast<double>(integer);
+        break;
+      default:
+        number = v.NumericValue();
+        break;
     }
   }
-  // A total order: numbers before text; NaN after every other number
-  // and equal only to NaN.
+  bool text() const { return kind == Kind::kText; }
   bool operator<(const JoinKey& other) const {
-    if (text != other.text) return other.text;
-    if (text) return *bytes < *other.bytes;
-    if (std::isnan(number)) return false;
-    return std::isnan(other.number) || number < other.number;
+    if (text()) return *bytes < *other.bytes;
+    if (kind == Kind::kInteger && other.kind == Kind::kInteger) {
+      return integer < other.integer;
+    }
+    return storage::CompareNumbers(number, other.number) < 0;
   }
 };
 
 // The one equi-join kernel, behind every strategy and placement: calls
 // emit(left_row, right_row) for each pair whose keys are equal under SQL
-// `=`, left rows in order and each one's matches in right arrival order.
-// NULL keys never join. A number meeting text fails exactly as `=`
-// would ("cannot compare INTEGER with VARCHAR"). Hash and merge joins
-// differ only in what they cost and where they run, never in this
-// output.
+// `=` (Value::Compare returns 0), left rows in order and each one's
+// matches in right arrival order. NULL keys never join. A number meeting
+// text fails exactly as `=` would ("cannot compare INTEGER with
+// VARCHAR"). Hash and merge joins differ only in what they cost and
+// where they run, never in this output.
 template <typename Emit>
 Status EquiJoin(const std::vector<Row>& left, const std::vector<Row>& right,
                 const EquiKeys& keys, Emit&& emit) {
   std::vector<std::pair<JoinKey, size_t>> index;
   index.reserve(right.size());
-  const Row* first_number = nullptr;
-  const Row* first_text = nullptr;
+  const Value* first_right = nullptr;  // a key column has one type
   for (size_t i = 0; i < right.size(); ++i) {
     const Value& key = right[i][keys.right];
     if (key.is_null()) continue;
+    if (first_right == nullptr) first_right = &key;
     index.emplace_back(JoinKey(key), i);
-    const Row** first = index.back().first.text ? &first_text : &first_number;
-    if (*first == nullptr) *first = &right[i];
   }
   std::stable_sort(index.begin(), index.end(),
                    [](const auto& a, const auto& b) {
@@ -265,10 +275,10 @@ Status EquiJoin(const std::vector<Row>& left, const std::vector<Row>& right,
     const Value& value = lrow[keys.left];
     if (value.is_null()) continue;
     const JoinKey key(value);
-    const Row* mismatch = key.text ? first_number : first_text;
-    if (mismatch != nullptr) {
-      const Value& other = (*mismatch)[keys.right];
-      return (keys.swapped ? other.Compare(value) : value.Compare(other))
+    if (first_right != nullptr &&
+        key.text() != (first_right->type() == DataType::kVarchar)) {
+      return (keys.swapped ? first_right->Compare(value)
+                           : value.Compare(*first_right))
           .status();
     }
     for (auto it = std::lower_bound(index.begin(), index.end(), key, key_less);
@@ -1801,16 +1811,20 @@ Result<QueryResult> Session::ExecSelect(sim::Process& self,
   if (view_depth > 8) {
     return InvalidArgumentError("view nesting too deep");
   }
-  // The outermost SELECT owns the statement snapshot its scans share
-  // (ReadSnapshot) and unpins it when it returns.
+  // The outermost SELECT owns the epochs its scans pin (ReadSnapshot)
+  // and unpins them when it returns.
   struct SnapshotOwner {
     Session* session;
     ~SnapshotOwner() {
-      if (session == nullptr || !session->snapshot_.has_value()) return;
-      session->db_->UnpinEpoch(*session->snapshot_);
-      session->snapshot_.reset();
+      if (session == nullptr) return;
+      for (const auto& [at_epoch, epoch] : session->snapshots_) {
+        session->db_->UnpinEpoch(epoch);
+      }
+      session->snapshots_.clear();
+      session->statement_at_epoch_ = -1;
     }
   } snapshot_owner{view_depth == 0 ? this : nullptr};
+  if (view_depth == 0) statement_at_epoch_ = select.at_epoch;
   const CostModel& cost = db_->cost();
   const sql::UdxResolver* udx = &db_->udx_resolver();
   const sql::AggregateUdxResolver* agg_udx = &db_->aggregate_udx_resolver();
@@ -1930,6 +1944,7 @@ Result<QueryResult> Session::ExecSelect(sim::Process& self,
   // the anchor and scan the cheapest (the super projection is the 1.0
   // baseline). The test hooks pin the choice when set.
   projections::QueryShape shape = projections::ShapeOf(select, def->schema);
+  shape.at_epoch = PlanEpoch(select.at_epoch);
   FABRIC_ASSIGN_OR_RETURN(projections::PlanChoice plan,
                           ResolveScanPlan(*def, shape));
 
@@ -1998,8 +2013,16 @@ Result<projections::PlanChoice> Session::ResolveScanPlan(
   return projections::ChoosePlan(db_->catalog(), def, shape);
 }
 
+int64_t Session::PlanEpoch(int64_t at_epoch) const {
+  auto pinned = snapshots_.find(at_epoch < 0 ? statement_at_epoch_ : at_epoch);
+  if (pinned == snapshots_.end()) return at_epoch;
+  return static_cast<int64_t>(pinned->second);
+}
+
 Result<Epoch> Session::ReadSnapshot(int64_t at_epoch) {
-  if (snapshot_.has_value()) return *snapshot_;
+  if (at_epoch < 0) at_epoch = statement_at_epoch_;
+  auto pinned = snapshots_.find(at_epoch);
+  if (pinned != snapshots_.end()) return pinned->second;
   Epoch snapshot = db_->current_epoch();
   if (at_epoch >= 0) {
     if (static_cast<Epoch>(at_epoch) > snapshot) {
@@ -2018,7 +2041,7 @@ Result<Epoch> Session::ReadSnapshot(int64_t at_epoch) {
   // Pinned until the statement ends, so the AHM (and the purge behind
   // it) cannot overtake a running scan.
   db_->PinEpoch(snapshot);
-  snapshot_ = snapshot;
+  snapshots_.emplace(at_epoch, snapshot);
   return snapshot;
 }
 
@@ -2436,14 +2459,15 @@ Result<std::optional<JoinQueryPlan>> Session::PlanJoinQuery(
 
   // Per-side shapes carry explicit column lists (never star) so narrow
   // sorted projections stay eligible for wide tables.
-  auto side_shape = [&select](const TableDef& t,
-                              const std::vector<int>& needed, int key) {
+  auto side_shape = [this, &select](const TableDef& t,
+                                    const std::vector<int>& needed,
+                                    int key) {
     projections::QueryShape shape;
     for (int c : needed) {
       shape.referenced.push_back(ToLower(t.schema.column(c).name));
     }
     shape.join_keys.push_back(ToLower(t.schema.column(key).name));
-    shape.at_epoch = select.at_epoch;
+    shape.at_epoch = PlanEpoch(select.at_epoch);
     return shape;
   };
   projections::QueryShape left_shape = side_shape(*left, jq.left_needed, lk);

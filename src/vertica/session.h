@@ -186,12 +186,19 @@ class Session {
   Result<std::vector<storage::Row>> ExecCoLocatedJoin(
       sim::Process& self, const sql::SelectStmt& select,
       const JoinQueryPlan& jq);
-  // The epoch every scan of the running SELECT reads. The first scan
-  // resolves it (AT EPOCH `at_epoch`, or the current epoch when < 0),
-  // failing OUT_OF_RANGE for a future epoch or one below the AHM, and
-  // pins it; later scans — the other join side, view bodies — share it.
-  // The outermost ExecSelect unpins it when the statement ends.
+  // The epoch one scan of the running SELECT reads. A scan without an
+  // AT EPOCH of its own (`at_epoch` < 0) reads the statement snapshot:
+  // the first such scan resolves it (the statement's AT EPOCH, or the
+  // current epoch) and every later one shares it — the other join side,
+  // view bodies, the co-located join. A view body's own AT EPOCH is a
+  // fixed epoch and is read as such. Each epoch is checked once, failing
+  // OUT_OF_RANGE when it is in the future or below the AHM, and stays
+  // pinned until the outermost ExecSelect returns.
   Result<storage::Epoch> ReadSnapshot(int64_t at_epoch);
+  // The AT EPOCH a scan plans its layout with: the epoch ReadSnapshot
+  // already resolved for it, else `at_epoch`. So a scan planned after the
+  // snapshot was taken never picks a projection created after it.
+  int64_t PlanEpoch(int64_t at_epoch) const;
   // Resolves the physical layout for one base-table scan: the per-table
   // forced hint first (typed error when it cannot serve the shape), then
   // the legacy session-wide hint (silent fallback), then the cost-based
@@ -257,7 +264,10 @@ class Session {
   std::string resource_pool_;
   double memory_request_ = 0;
   wm::Grant wm_grant_;
-  std::optional<storage::Epoch> snapshot_;  // see ReadSnapshot
+  // The running SELECT's pinned epochs by requested AT EPOCH (-1: the
+  // current epoch), and the statement's own AT EPOCH; see ReadSnapshot.
+  std::map<int64_t, storage::Epoch> snapshots_;
+  int64_t statement_at_epoch_ = -1;
   storage::Epoch last_commit_epoch_ = 0;
   int64_t last_update_affected_ = -1;
   bool closed_ = false;

@@ -254,6 +254,16 @@ bool CompileCompare(const Expr& expr, const storage::Schema& schema,
   // Mixed string/numeric comparisons are interpreter errors; leave them
   // to the residual so the error surfaces identically.
   if (column_is_string != literal_is_string) return false;
+  // Kernels compare numbers through double, exact for an INTEGER column
+  // only while the INTEGER literal is below 2^53 in magnitude; a larger
+  // one stays in the residual, which compares two INTEGERs exactly.
+  constexpr int64_t kExactInDouble = int64_t{1} << 53;
+  if (column_type == storage::DataType::kInt64 &&
+      literal->type() == storage::DataType::kInt64 &&
+      (literal->int64_value() >= kExactInDouble ||
+       literal->int64_value() <= -kExactInDouble)) {
+    return false;
+  }
 
   CompareTerm term;
   term.column = *idx;

@@ -13,6 +13,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -465,10 +466,13 @@ TEST_F(JoinTest, JoinsAreCapturedInQueryRequests) {
 // ------------------------------------------------------- SQL `=` keys
 
 // Two non-NULL keys join exactly when SQL `=` holds (Value::Compare is
-// 0), never by display string: every strategy, and a view side, must
-// answer what the nested loop over `ON a = b AND 1 = 1` answers — a
-// match for -0.0 vs 0.0 and for FLOAT 1e17 vs INTEGER 10^17, and the
-// comparison error for INTEGER vs VARCHAR, in either ON spelling.
+// 0), never by display string: every strategy — co-located included
+// when both key types match — and a view side must answer what the
+// nested loop over `ON a = b AND 1 = 1` answers. That is a match for
+// -0.0 vs 0.0, for FLOAT 1e17 vs INTEGER 10^17 and for NaN vs NaN; no
+// match for the INTEGERs 2^53 and 2^53 + 1 (which round to the same
+// double) or for NaN vs 0.0; and the comparison error for INTEGER vs
+// VARCHAR, in either ON spelling.
 TEST_F(JoinTest, JoinKeysFollowSqlEquality) {
   struct Case {
     const char* left_type;
@@ -476,12 +480,18 @@ TEST_F(JoinTest, JoinKeysFollowSqlEquality) {
     const char* right_type;
     const char* right_value;
     bool comparable;
+    bool match;
   };
+  const char* kNaN = "1e308 * 10.0 - 1e308 * 10.0";  // inf - inf
   const Case kCases[] = {
-      {"FLOAT", "-0.0", "FLOAT", "0.0", true},
+      {"FLOAT", "-0.0", "FLOAT", "0.0", true, true},
       {"FLOAT", "100000000000000000.0", "INTEGER", "100000000000000000",
-       true},
-      {"INTEGER", "1", "VARCHAR", "'1'", false},
+       true, true},
+      {"INTEGER", "9007199254740992", "INTEGER", "9007199254740993", true,
+       false},
+      {"FLOAT", kNaN, "FLOAT", kNaN, true, true},
+      {"FLOAT", kNaN, "FLOAT", "0.0", true, false},
+      {"INTEGER", "1", "VARCHAR", "'1'", false, false},
   };
   for (const Case& c : kCases) {
     SCOPED_TRACE(StrCat(c.left_type, " ", c.left_value, " = ", c.right_type,
@@ -506,11 +516,11 @@ TEST_F(JoinTest, JoinKeysFollowSqlEquality) {
               StrCat("SELECT tag, tag2 FROM a JOIN b ON ", on);
           const std::string expected =
               Outcome(driver, StrCat(q, " AND 1 = 1"));
-          if (c.comparable) {
-            EXPECT_EQ(expected, "l1|r1|\n");
-          } else {
+          if (!c.comparable) {
             EXPECT_NE(expected.find("cannot compare"), std::string::npos)
                 << expected;
+          } else {
+            EXPECT_EQ(expected, c.match ? "l1|r1|\n" : "");
           }
           EXPECT_EQ(expected, Outcome(driver, q));
           EXPECT_EQ(expected,
@@ -533,10 +543,14 @@ TEST_F(JoinTest, JoinKeysFollowSqlEquality) {
       ExecOk(driver,
              "CREATE PROJECTION b_by_y AS SELECT y, tag2 FROM b ORDER BY y "
              "SEGMENTED BY HASH(y)");
-      EXPECT_NE(PlanText(ExecOk(driver, "EXPLAIN SELECT tag, tag2 FROM a "
-                                        "JOIN b ON x = y"))
-                    .find("merge join"),
-                std::string::npos);
+      const std::string plan = PlanText(
+          ExecOk(driver, "EXPLAIN SELECT tag, tag2 FROM a JOIN b ON x = y"));
+      EXPECT_NE(plan.find("merge join"), std::string::npos) << plan;
+      // Same-typed keys segmented alike join node-locally, so the auto
+      // and forced-merge runs below are co-located ones.
+      if (std::string_view(c.left_type) == c.right_type) {
+        EXPECT_NE(plan.find("co-located"), std::string::npos) << plan;
+      }
       check(/*with_layouts=*/true);
     });
   }
@@ -680,6 +694,57 @@ TEST_F(JoinTest, AtEpochErrorsMatchSingleTableScans) {
         ASSERT_FALSE(result.ok());
         EXPECT_EQ(result.status().ToString(), scan.status().ToString());
       }
+    }
+  });
+}
+
+// A view body's own AT EPOCH is a fixed epoch, not the statement's:
+// joined with a base table, the view side reads its epoch and the table
+// side the statement snapshot, in either FROM order. A view epoch in the
+// future fails the join with the single-table scan's message.
+TEST_F(JoinTest, ViewAtEpochInsideAJoinKeepsItsEpoch) {
+  RunDriver([&](sim::Process& driver) {
+    ExecOk(driver,
+           "CREATE TABLE t (k INTEGER, tv VARCHAR) "
+           "SEGMENTED BY HASH(k) ALL NODES");
+    ExecOk(driver,
+           "CREATE TABLE r (k2 INTEGER, rv VARCHAR) "
+           "SEGMENTED BY HASH(k2) ALL NODES");
+    ExecOk(driver, "INSERT INTO t VALUES (1, 't1')");
+    ExecOk(driver, "INSERT INTO r VALUES (1, 'old'), (2, 'old')");
+    const int64_t then = static_cast<int64_t>(db_->current_epoch());
+    ExecOk(driver,
+           StrCat("CREATE VIEW r_then AS SELECT * FROM r AT EPOCH ", then));
+    ExecOk(driver, "UPDATE r SET rv = 'new'");
+    ExecOk(driver, "INSERT INTO t VALUES (2, 't2')");
+
+    // r_then is r as it was (both rows 'old'); t is read now (t1, t2).
+    EXPECT_EQ(Outcome(driver,
+                      "SELECT tv, rv FROM t JOIN r_then ON k = k2 "
+                      "ORDER BY tv"),
+              "t1|old|\nt2|old|\n");
+    EXPECT_EQ(Outcome(driver,
+                      "SELECT rv, tv FROM r_then JOIN t ON k2 = k "
+                      "ORDER BY tv"),
+              "old|t1|\nold|t2|\n");
+    // A statement AT EPOCH moves the table side only.
+    EXPECT_EQ(Outcome(driver, StrCat("SELECT tv, rv FROM t JOIN r_then "
+                                     "ON k = k2 AT EPOCH ",
+                                     then)),
+              "t1|old|\n");
+
+    const int64_t future = static_cast<int64_t>(db_->current_epoch()) + 5;
+    ExecOk(driver, StrCat("CREATE VIEW r_later AS SELECT * FROM r AT EPOCH ",
+                          future));
+    auto scan = Exec(driver, "SELECT COUNT(*) FROM r_later");
+    ASSERT_FALSE(scan.ok());
+    EXPECT_EQ(scan.status().code(), StatusCode::kOutOfRange);
+    for (const char* join : {"SELECT COUNT(*) FROM t JOIN r_later ON k = k2",
+                             "SELECT COUNT(*) FROM r_later JOIN t ON k2 = k"}) {
+      SCOPED_TRACE(join);
+      auto result = Exec(driver, join);
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(result.status().ToString(), scan.status().ToString());
     }
   });
 }

@@ -5,6 +5,7 @@
 // SQL interpreter) across randomized schemas, encodings, null
 // densities, delete-mark states and predicate shapes.
 
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
@@ -434,6 +435,58 @@ TEST_P(MatchesProperty, RowMatchesAgreesWithInterpreter) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MatchesProperty, ::testing::Range(0, 8));
+
+// Compiled terms and the interpreter agree where double order is not
+// SQL order: INTEGERs around 2^53 (a literal that large stays in the
+// residual, which compares two INTEGERs exactly), NaN (equal only to
+// NaN, above every other number) and -0.0 (equal to 0.0).
+TEST(ScanEngineTest, CompiledComparesFollowSqlOrderAtTheEdges) {
+  Schema schema({{"c0", DataType::kInt64}, {"c1", DataType::kFloat64}});
+  const int64_t big = int64_t{1} << 53;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<Row> rows = {
+      {Value::Int64(big), Value::Float64(nan)},
+      {Value::Int64(big + 1), Value::Float64(0.0)},
+      {Value::Int64(-big), Value::Float64(-0.0)},
+      {Value::Int64(-big - 1), Value::Float64(1.0)},
+      {Value::Int64(5), Value::Float64(-1.0)},
+  };
+  struct Case {
+    const char* where;
+    std::vector<bool> expected;  // per row
+  };
+  const Case kCases[] = {
+      {"c0 = 9007199254740993", {false, true, false, false, false}},
+      {"c0 < 9007199254740993", {true, false, true, true, true}},
+      {"c0 >= -9007199254740992", {true, true, true, false, true}},
+      {"c0 <> -9007199254740993", {true, true, true, false, true}},
+      {"c0 < 9007199254740991", {false, false, true, true, true}},
+      {"c1 = 0.0", {false, true, true, false, false}},
+      {"c1 > 1.0", {true, false, false, false, false}},
+      {"c1 <= 1.0", {false, true, true, true, true}},
+      {"c1 <> 0.0", {true, false, false, true, true}},
+  };
+  for (const Case& c : kCases) {
+    SCOPED_TRACE(c.where);
+    auto parsed = sql::ParseExpression(c.where);
+    ASSERT_TRUE(parsed.ok());
+    sql::CompiledScan compiled = sql::CompileScanPredicate(**parsed, schema);
+    for (size_t r = 0; r < rows.size(); ++r) {
+      SCOPED_TRACE(StrCat("row ", r));
+      sql::EvalContext context;
+      context.schema = &schema;
+      context.row = &rows[r];
+      EXPECT_EQ(sql::EvalPredicateLenient(**parsed, context),
+                c.expected[r]);
+      bool compiled_pass = !compiled.predicate.always_false &&
+                           compiled.predicate.Matches(rows[r]);
+      if (compiled_pass && compiled.residual != nullptr) {
+        compiled_pass = sql::EvalPredicateLenient(*compiled.residual, context);
+      }
+      EXPECT_EQ(compiled_pass, c.expected[r]);
+    }
+  }
+}
 
 // ---------------------------------------------------------- AT EPOCH
 

@@ -1,3 +1,5 @@
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -47,6 +49,24 @@ TEST(ValueTest, NumericCrossTypeComparison) {
   EXPECT_TRUE(Value::Int64(1).Equals(Value::Float64(1.0)));
   EXPECT_EQ(Value::Int64(1).Compare(Value::Float64(1.5)).value(), -1);
   EXPECT_EQ(Value::Float64(2.0).Compare(Value::Int64(2)).value(), 0);
+}
+
+TEST(ValueTest, IntegersCompareExactlyAndNaNHasOnePlace) {
+  const int64_t big = int64_t{1} << 53;  // big + 1 has no double
+  EXPECT_EQ(Value::Int64(big).Compare(Value::Int64(big + 1)).value(), -1);
+  EXPECT_EQ(Value::Int64(big + 1).Compare(Value::Int64(big)).value(), 1);
+  // Across types both sides go through double, as SQL coercion does.
+  EXPECT_EQ(Value::Int64(big + 1)
+                .Compare(Value::Float64(static_cast<double>(big)))
+                .value(),
+            0);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(Value::Float64(nan).Compare(Value::Float64(-nan)).value(), 0);
+  EXPECT_EQ(Value::Float64(nan).Compare(Value::Float64(1e308)).value(), 1);
+  EXPECT_EQ(Value::Int64(big).Compare(Value::Float64(nan)).value(), -1);
+  EXPECT_EQ(Value::Float64(-0.0).Compare(Value::Float64(0.0)).value(), 0);
+  EXPECT_EQ(Value::Float64(nan).SegmentationHash(),
+            Value::Float64(-nan).SegmentationHash());
 }
 
 TEST(ValueTest, VarcharComparison) {
