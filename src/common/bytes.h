@@ -28,6 +28,8 @@ class ByteWriter {
     buffer_.append(static_cast<const char*>(data), size);
   }
 
+  void Reserve(size_t size) { buffer_.reserve(size); }
+
   size_t size() const { return buffer_.size(); }
   const std::string& buffer() const { return buffer_; }
   std::string Take() { return std::move(buffer_); }

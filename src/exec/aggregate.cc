@@ -1,9 +1,12 @@
 #include "exec/aggregate.h"
 
+#include <cmath>
+
 #include "common/hll.h"
 
 namespace fabric::exec {
 
+using storage::DataType;
 using storage::Row;
 using storage::Value;
 
@@ -107,7 +110,17 @@ AggHooks SketchHooks(bool estimate) {
 std::string EncodeGroupKey(const Row& row, const std::vector<int>& cols) {
   std::string key;
   for (int c : cols) {
-    key += row[c].is_null() ? std::string("\x01") : row[c].ToDisplayString();
+    const Value& v = row[c];
+    if (v.is_null()) {
+      key.push_back('\x01');
+    } else if (v.type() == DataType::kFloat64 &&
+               (v.float64_value() == 0 || std::isnan(v.float64_value()))) {
+      // SQL `=` (CompareNumbers) equates -0.0 with 0.0 and NaN with NaN:
+      // they take 0.0's and the positive NaN's display strings.
+      key += v.float64_value() == 0 ? "0" : "nan";
+    } else {
+      key += v.ToDisplayString();
+    }
     key.push_back('\x02');
   }
   return key;

@@ -72,8 +72,9 @@ Result<storage::Value> FinalizeAgg(const AggFunc& func,
 AggHooks SketchHooks(bool estimate);
 
 // The group-key encoding: display string per key column, \x01 for NULL
-// (distinct from any display string), \x02 after every column. Sorting
-// by it is the canonical aggregate output order.
+// (distinct from any display string), \x02 after every column; -0.0 and
+// every NaN take the keys of 0.0 and NaN, so groups agree with SQL `=`.
+// Sorting by it is the canonical aggregate output order.
 std::string EncodeGroupKey(const storage::Row& row,
                            const std::vector<int>& cols);
 

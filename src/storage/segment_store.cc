@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <type_traits>
 
 #include "common/hash.h"
 #include "common/logging.h"
@@ -63,21 +62,63 @@ std::vector<int> AllColumns(const Schema& schema) {
   return cols;
 }
 
-// Total order on rows over `cols` (nulls first, then Value::Compare).
-// Mixed non-numeric types cannot appear within one typed column, so the
-// Compare error path collapses to "equal".
-bool RowLessBy(const Row& a, const Row& b, const std::vector<int>& cols) {
-  for (int c : cols) {
-    const Value& va = a[c];
-    const Value& vb = b[c];
-    if (va.is_null() && vb.is_null()) continue;
-    if (va.is_null()) return true;
-    if (vb.is_null()) return false;
-    Result<int> cmp = va.Compare(vb);
-    int v = cmp.ok() ? cmp.value() : 0;
-    if (v != 0) return v < 0;
+// Sort-order comparison of two values of one column: nulls first, then
+// Value::Compare. Mixed non-numeric types cannot appear within one typed
+// column, so the Compare error path collapses to "equal".
+int CompareForSort(const Value& a, const Value& b) {
+  if (a.is_null() || b.is_null()) {
+    return static_cast<int>(b.is_null()) - static_cast<int>(a.is_null());
   }
-  return false;
+  Result<int> cmp = a.Compare(b);
+  return cmp.ok() ? cmp.value() : 0;
+}
+
+// Stable permutation ordering `n` rows by `sort_columns` (major first);
+// `at(row, col)` reads one value. Stability keeps equal keys in arrival
+// order, which is deterministic across buddy copies.
+template <typename At>
+std::vector<uint32_t> SortPermutation(size_t n,
+                                      const std::vector<int>& sort_columns,
+                                      At at) {
+  std::vector<uint32_t> order(n);
+  for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    for (int c : sort_columns) {
+      int v = CompareForSort(at(a, c), at(b, c));
+      if (v != 0) return v < 0;
+    }
+    return false;
+  });
+  return order;
+}
+
+// Reorders `vec` so that element k is the old element order[k]; a null or
+// empty vector is left alone.
+template <typename T>
+void Permute(const std::vector<uint32_t>& order, std::vector<T>* vec) {
+  if (vec == nullptr || vec->empty()) return;
+  std::vector<T> out;
+  out.reserve(vec->size());
+  for (uint32_t i : order) out.push_back(std::move((*vec)[i]));
+  *vec = std::move(out);
+}
+
+// Decodes every column of `container` once, appending column c's values
+// to (*columns)[c].
+Status AppendColumns(const RosContainer& container,
+                     std::vector<std::vector<Value>>* columns) {
+  for (size_t c = 0; c < columns->size(); ++c) {
+    FABRIC_ASSIGN_OR_RETURN(std::vector<Value> values,
+                            DecodeColumn(container.column(static_cast<int>(c))));
+    std::vector<Value>& out = (*columns)[c];
+    if (out.empty()) {
+      out = std::move(values);
+    } else {
+      out.insert(out.end(), std::make_move_iterator(values.begin()),
+                 std::make_move_iterator(values.end()));
+    }
+  }
+  return Status::OK();
 }
 
 // Content key of one full row for multiset matching (same sentinel
@@ -101,43 +142,50 @@ std::string RowContentKey(const Row& row) {
 Result<RosContainer> RosContainer::Create(
     const Schema& schema, const std::vector<Row>& rows, TxnId pending_txn,
     const std::vector<Encoding>* encodings) {
-  RosContainer container;
-  container.num_rows_ = static_cast<uint32_t>(rows.size());
-  container.pending_txn_ = pending_txn;
-  container.delete_marks_.resize(rows.size());
-  container.min_values_.resize(schema.num_columns());
-  container.max_values_.resize(schema.num_columns());
-
   for (const Row& row : rows) {
     FABRIC_RETURN_IF_ERROR(ValidateRow(schema, row));
-    container.raw_bytes_ += RowRawSize(row);
   }
+  std::vector<ColumnView> columns;
+  columns.reserve(schema.num_columns());
+  for (int c = 0; c < schema.num_columns(); ++c) columns.emplace_back(rows, c);
+  return Encode(schema, columns, rows.size(), pending_txn, encodings);
+}
 
-  std::vector<Value> column_values;
-  column_values.reserve(rows.size());
+Result<RosContainer> RosContainer::FromColumns(
+    const Schema& schema, const std::vector<std::vector<Value>>& columns,
+    TxnId pending_txn, const std::vector<Encoding>* encodings) {
+  FABRIC_CHECK(static_cast<int>(columns.size()) == schema.num_columns())
+      << "one value vector per schema column";
+  std::vector<ColumnView> views(columns.begin(), columns.end());
+  return Encode(schema, views, columns.empty() ? 0 : columns[0].size(),
+                pending_txn, encodings);
+}
+
+Result<RosContainer> RosContainer::Encode(
+    const Schema& schema, const std::vector<ColumnView>& columns,
+    size_t num_rows, TxnId pending_txn,
+    const std::vector<Encoding>* encodings) {
+  RosContainer container;
+  container.num_rows_ = static_cast<uint32_t>(num_rows);
+  container.pending_txn_ = pending_txn;
+  container.delete_marks_.resize(num_rows);
+  container.columns_.reserve(columns.size());
+  container.min_values_.reserve(columns.size());
+  container.max_values_.reserve(columns.size());
   for (int c = 0; c < schema.num_columns(); ++c) {
-    column_values.clear();
-    Value min = Value::Null();
-    Value max = Value::Null();
-    for (const Row& row : rows) {
-      const Value& v = row[c];
-      column_values.push_back(v);
-      if (v.is_null()) continue;
-      if (min.is_null() || v.Compare(min).value() < 0) min = v;
-      if (max.is_null() || v.Compare(max).value() > 0) max = v;
-    }
-    ColumnChunk chunk;
-    if (encodings != nullptr && c < static_cast<int>(encodings->size())) {
-      FABRIC_ASSIGN_OR_RETURN(
-          chunk, EncodeColumnAs(schema.column(c).type, (*encodings)[c],
-                                column_values));
-    } else {
-      FABRIC_ASSIGN_OR_RETURN(
-          chunk, EncodeColumn(schema.column(c).type, column_values));
-    }
-    container.columns_.push_back(std::move(chunk));
-    container.min_values_[c] = std::move(min);
-    container.max_values_[c] = std::move(max);
+    FABRIC_CHECK(columns[c].size() == num_rows) << "ragged columns";
+    const Encoding* forced =
+        encodings != nullptr && c < static_cast<int>(encodings->size())
+            ? &(*encodings)[c]
+            : nullptr;
+    FABRIC_ASSIGN_OR_RETURN(
+        EncodedColumn column,
+        EncodeContainerColumn(schema.column(c).type, columns[c], forced));
+    // Raw sizes are whole numbers, so the per-column sum is exact.
+    container.raw_bytes_ += column.raw_bytes;
+    container.columns_.push_back(std::move(column.chunk));
+    container.min_values_.push_back(std::move(column.min));
+    container.max_values_.push_back(std::move(column.max));
   }
   return container;
 }
@@ -224,21 +272,12 @@ void SegmentStore::SortForDesign(std::vector<Row>* rows,
                                  std::vector<DeleteMark>* marks,
                                  std::vector<Epoch>* epochs) const {
   if (!design_.sorted() || rows->size() < 2) return;
-  std::vector<uint32_t> order(rows->size());
-  for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    return RowLessBy((*rows)[a], (*rows)[b], design_.sort_columns);
-  });
-  auto permute = [&order](auto* vec) {
-    if (vec == nullptr || vec->empty()) return;
-    std::remove_reference_t<decltype(*vec)> out;
-    out.reserve(vec->size());
-    for (uint32_t i : order) out.push_back(std::move((*vec)[i]));
-    *vec = std::move(out);
-  };
-  permute(rows);
-  permute(marks);
-  permute(epochs);
+  std::vector<uint32_t> order = SortPermutation(
+      rows->size(), design_.sort_columns,
+      [rows](uint32_t r, int c) -> const Value& { return (*rows)[r][c]; });
+  Permute(order, rows);
+  Permute(order, marks);
+  Permute(order, epochs);
 }
 
 Result<RosContainer> SegmentStore::CreateContainer(
@@ -246,6 +285,21 @@ Result<RosContainer> SegmentStore::CreateContainer(
   return RosContainer::Create(
       schema_, rows, pending_txn,
       design_.encodings.empty() ? nullptr : &design_.encodings);
+}
+
+Result<RosContainer> SegmentStore::RebuildContainer(
+    const std::vector<std::vector<Value>>& columns,
+    std::vector<DeleteMark> marks, std::vector<Epoch> epochs) const {
+  // Temporary txn id 1 satisfies the pending contract; AdoptRowEpochs
+  // commits the container at the original per-row epochs.
+  FABRIC_ASSIGN_OR_RETURN(
+      RosContainer container,
+      RosContainer::FromColumns(
+          schema_, columns, /*pending_txn=*/1,
+          design_.encodings.empty() ? nullptr : &design_.encodings));
+  container.AdoptRowEpochs(std::move(epochs));
+  container.mutable_delete_marks() = std::move(marks);
+  return container;
 }
 
 Status SegmentStore::InsertPendingDirect(TxnId txn, std::vector<Row> rows) {
@@ -790,25 +844,35 @@ Result<double> SegmentStore::MergeRosContainers(
           StrCat("mergeout of uncommitted container ", idx));
     }
   }
-  std::vector<Row> rows;
+  // Column by column: decode each input column once, concatenate, and
+  // for sorted designs reorder by a permutation of the sort columns.
+  std::vector<std::vector<Value>> columns(schema_.num_columns());
   std::vector<DeleteMark> marks;
   std::vector<Epoch> epochs;
   double bytes = 0;
   for (int idx : sorted) {
     const RosContainer& c = ros_[idx];
-    FABRIC_ASSIGN_OR_RETURN(std::vector<Row> decoded, c.DecodeRows());
+    FABRIC_RETURN_IF_ERROR(AppendColumns(c, &columns));
     bytes += c.raw_bytes();
+    marks.insert(marks.end(), c.delete_marks().begin(),
+                 c.delete_marks().end());
     for (uint32_t i = 0; i < c.num_rows(); ++i) {
-      rows.push_back(std::move(decoded[i]));
-      marks.push_back(c.delete_marks()[i]);
       epochs.push_back(c.row_epoch(i));
     }
   }
-  SortForDesign(&rows, &marks, &epochs);
-  FABRIC_ASSIGN_OR_RETURN(RosContainer merged,
-                          CreateContainer(rows, /*txn=*/1));
-  merged.AdoptRowEpochs(std::move(epochs));
-  merged.mutable_delete_marks() = std::move(marks);
+  if (design_.sorted() && epochs.size() > 1) {
+    std::vector<uint32_t> order = SortPermutation(
+        epochs.size(), design_.sort_columns,
+        [&columns](uint32_t r, int c) -> const Value& {
+          return columns[c][r];
+        });
+    for (std::vector<Value>& column : columns) Permute(order, &column);
+    Permute(order, &marks);
+    Permute(order, &epochs);
+  }
+  FABRIC_ASSIGN_OR_RETURN(
+      RosContainer merged,
+      RebuildContainer(columns, std::move(marks), std::move(epochs)));
   int insert_at = sorted.front();
   for (auto it = sorted.rbegin(); it != sorted.rend(); ++it) {
     ros_.erase(ros_.begin() + *it);
@@ -837,8 +901,7 @@ Result<int64_t> SegmentStore::PurgeDeletedRows(Epoch ahm) {
       ++k;
       continue;
     }
-    FABRIC_ASSIGN_OR_RETURN(std::vector<Row> decoded, c.DecodeRows());
-    std::vector<Row> rows;
+    std::vector<uint32_t> keep;
     std::vector<DeleteMark> marks;
     std::vector<Epoch> epochs;
     for (uint32_t i = 0; i < c.num_rows(); ++i) {
@@ -846,20 +909,26 @@ Result<int64_t> SegmentStore::PurgeDeletedRows(Epoch ahm) {
         ++purged;
         continue;
       }
-      rows.push_back(std::move(decoded[i]));
+      keep.push_back(i);
       marks.push_back(c.delete_marks()[i]);
       epochs.push_back(c.row_epoch(i));
     }
-    if (rows.empty()) {
+    if (keep.empty()) {
       ros_.erase(ros_.begin() + static_cast<long>(k));
       continue;
     }
-    // Dropping rows from a design-sorted container keeps it sorted, so no
-    // re-sort is needed here.
-    FABRIC_ASSIGN_OR_RETURN(RosContainer rebuilt,
-                            CreateContainer(rows, /*txn=*/1));
-    rebuilt.AdoptRowEpochs(std::move(epochs));
-    rebuilt.mutable_delete_marks() = std::move(marks);
+    // Column by column, keeping the surviving rows. Dropping rows from a
+    // design-sorted container keeps it sorted, so no re-sort is needed.
+    std::vector<std::vector<Value>> columns(schema_.num_columns());
+    for (int col = 0; col < schema_.num_columns(); ++col) {
+      FABRIC_ASSIGN_OR_RETURN(std::vector<Value> values,
+                              DecodeColumn(c.column(col)));
+      columns[col].reserve(keep.size());
+      for (uint32_t i : keep) columns[col].push_back(std::move(values[i]));
+    }
+    FABRIC_ASSIGN_OR_RETURN(
+        RosContainer rebuilt,
+        RebuildContainer(columns, std::move(marks), std::move(epochs)));
     ros_[k] = std::move(rebuilt);
     ++k;
   }
@@ -921,6 +990,18 @@ double SegmentStore::CommittedWosRawBytes() const {
     for (const Row& row : b.rows) total += RowRawSize(row);
   }
   return total;
+}
+
+std::vector<std::pair<int, double>> SegmentStore::CommittedRosRawBytes()
+    const {
+  std::vector<std::pair<int, double>> sizes;
+  sizes.reserve(ros_.size());
+  for (size_t i = 0; i < ros_.size(); ++i) {
+    if (ros_[i].committed()) {
+      sizes.emplace_back(static_cast<int>(i), ros_[i].raw_bytes());
+    }
+  }
+  return sizes;
 }
 
 std::vector<ContainerStats> SegmentStore::RosStats() const {

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -55,6 +56,14 @@ class RosContainer {
       const Schema& schema, const std::vector<Row>& rows, TxnId pending_txn,
       const std::vector<Encoding>* encodings = nullptr);
 
+  // The same container built from one value vector per schema column
+  // (mergeout and purge, which work column by column). The rows are not
+  // re-validated: the values come from stored containers. Byte-identical
+  // to Create over the equivalent rows.
+  static Result<RosContainer> FromColumns(
+      const Schema& schema, const std::vector<std::vector<Value>>& columns,
+      TxnId pending_txn, const std::vector<Encoding>* encodings = nullptr);
+
   uint32_t num_rows() const { return num_rows_; }
   bool committed() const { return pending_txn_ == 0; }
   TxnId pending_txn() const { return pending_txn_; }
@@ -104,6 +113,13 @@ class RosContainer {
 
  private:
   RosContainer() = default;
+
+  // Encodes one view per schema column; each column's single encoder
+  // pass also yields its min/max and raw bytes.
+  static Result<RosContainer> Encode(const Schema& schema,
+                                     const std::vector<ColumnView>& columns,
+                                     size_t num_rows, TxnId pending_txn,
+                                     const std::vector<Encoding>* encodings);
 
   uint32_t num_rows_ = 0;
   TxnId pending_txn_ = 0;
@@ -287,10 +303,15 @@ class SegmentStore {
   double TotalRawBytes() const;
   double TotalEncodedBytes() const;
   int num_ros_containers() const { return static_cast<int>(ros_.size()); }
+  const RosContainer& ros_container(int i) const { return ros_[i]; }
   int num_wos_batches() const { return static_cast<int>(wos_.size()); }
   int num_committed_wos_batches() const;
   double CommittedWosRawBytes() const;
   std::vector<ContainerStats> RosStats() const;
+  // (index, raw bytes) of every committed ROS container, in storage
+  // order: the Tuple Mover's stratum policy input, cheap enough to read
+  // on every commit (RosStats also counts each container's deleted rows).
+  std::vector<std::pair<int, double>> CommittedRosRawBytes() const;
 
   // ------------------------------------------------- k-safety recovery
   // Raw bytes of content this store gained after `epoch`: containers and
@@ -332,6 +353,13 @@ class SegmentStore {
   // RosContainer::Create with this store's forced encodings (if any).
   Result<RosContainer> CreateContainer(const std::vector<Row>& rows,
                                        TxnId pending_txn) const;
+
+  // The committed container mergeout/purge writes: RosContainer::
+  // FromColumns with this store's encodings, carrying over per-row epochs
+  // and delete marks.
+  Result<RosContainer> RebuildContainer(
+      const std::vector<std::vector<Value>>& columns,
+      std::vector<DeleteMark> marks, std::vector<Epoch> epochs) const;
 
   Schema schema_;
   PhysicalDesign design_;

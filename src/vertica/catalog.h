@@ -82,7 +82,8 @@ struct ProjectionDef {
   Segmentation segmentation;
   // Epoch of the populating commit: AT EPOCH reads older than this must
   // not be served from the projection (population collapses the anchor's
-  // history into one commit).
+  // history into one commit). 0 while CREATE PROJECTION is still
+  // populating it, which keeps the planner off the half-built layout.
   storage::Epoch create_epoch = 0;
   // Projection-local schema (the `columns` subset of the anchor schema).
   storage::Schema schema;

@@ -60,7 +60,7 @@ projections::QueryShape ShapeOfRequest(const QueryRequest& request,
 bool ResolveCandidateDef(const TableDef& anchor, Candidate* cand) {
   ProjectionDef& def = cand->def;
   def.anchor = anchor.name;
-  def.create_epoch = 0;
+  def.create_epoch = 1;  // as if populated at the initial epoch
   std::vector<storage::ColumnDef> schema_cols;
   for (const std::string& name : cand->columns) {
     auto idx = anchor.schema.IndexOf(name);

@@ -104,6 +104,9 @@ QueryShape ShapeOf(const sql::SelectStmt& select, const Schema& schema) {
 
 bool Eligible(const TableDef& anchor, const ProjectionDef& proj,
               const QueryShape& shape) {
+  // Still being populated: CREATE PROJECTION registers the layout before
+  // its rows commit, and only then stamps create_epoch.
+  if (proj.create_epoch == 0) return false;
   // AT EPOCH older than the projection: its populated rows carry the
   // creating commit's epoch, not the anchor's history.
   if (shape.at_epoch >= 0 &&
@@ -307,18 +310,22 @@ std::vector<Encoding> ChooseEncodings(const Schema& schema,
   std::vector<Encoding> encodings;
   encodings.reserve(schema.num_columns());
   const size_t n = sample.size();
-  // Low cardinality: distinct values at most 1/8th of the rows (and
-  // capped), measured on display strings — cheap and type-stable.
+  // Low cardinality: distinct values (NULL counting as one) at most 1/8th
+  // of the rows (and capped), told apart by the encoders' typed identity.
   const size_t low_cardinality =
       std::max<size_t>(16, std::min<size_t>(4096, n / 8));
   for (int c = 0; c < schema.num_columns(); ++c) {
-    std::set<std::string> distinct;
+    storage::ValueIds values(schema.column(c).type);
+    size_t nulls = 0;
     for (const Row& row : sample) {
-      distinct.insert(row[c].is_null() ? std::string("\x01")
-                                       : row[c].ToDisplayString());
-      if (distinct.size() > low_cardinality) break;
+      if (row[c].is_null()) {
+        nulls = 1;
+      } else {
+        values.IdOf(row[c]);
+      }
+      if (values.size() + nulls > low_cardinality) break;
     }
-    bool low = distinct.size() <= low_cardinality;
+    bool low = values.size() + nulls <= low_cardinality;
     if (sorted_cols.count(c) > 0 && low) {
       // Sorted + low cardinality: long runs, RLE wins outright.
       encodings.push_back(Encoding::kRle);

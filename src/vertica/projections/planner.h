@@ -55,10 +55,11 @@ struct CostAttrs {
   bool sorted_join = false;
 };
 
-// True when `proj` can serve the query: every referenced column is
-// stored (star demands the full anchor column set in schema order), and
-// the snapshot is not older than the projection (population collapses
-// pre-existing history into the creating commit).
+// True when `proj` can serve the query: it is fully populated
+// (create_epoch set), every referenced column is stored (star demands
+// the full anchor column set in schema order), and the snapshot is not
+// older than the projection (population collapses pre-existing history
+// into the creating commit).
 bool Eligible(const TableDef& anchor, const ProjectionDef& proj,
               const QueryShape& shape);
 

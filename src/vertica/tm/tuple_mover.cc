@@ -28,15 +28,13 @@ int Stratum(double raw_bytes, const TupleMoverConfig& config) {
 }
 
 // Committed-container indices per stratum that reached the merge
-// threshold (ordered map: lowest stratum first).
+// threshold (ordered map: lowest stratum first), from the store's
+// (index, raw bytes) list of committed containers.
 std::map<int, std::vector<int>> MergeableStrata(
-    const std::vector<storage::ContainerStats>& stats,
-    const TupleMoverConfig& config) {
+    const storage::SegmentStore& store, const TupleMoverConfig& config) {
   std::map<int, std::vector<int>> strata;
-  for (size_t i = 0; i < stats.size(); ++i) {
-    if (!stats[i].committed) continue;
-    strata[Stratum(stats[i].raw_bytes, config)].push_back(
-        static_cast<int>(i));
+  for (const auto& [index, raw_bytes] : store.CommittedRosRawBytes()) {
+    strata[Stratum(raw_bytes, config)].push_back(index);
   }
   for (auto it = strata.begin(); it != strata.end();) {
     if (static_cast<int>(it->second.size()) < config.strata_min_containers) {
@@ -117,7 +115,7 @@ bool TupleMover::MoveoutWorkPending(int node) const {
 
 bool TupleMover::MergeoutWorkPending(int node) const {
   for (const Database::HostedStore& hs : db_->HostedStores(node)) {
-    if (!MergeableStrata(hs.store->RosStats(), config_).empty()) return true;
+    if (!MergeableStrata(*hs.store, config_).empty()) return true;
   }
   return false;
 }
@@ -209,7 +207,7 @@ void TupleMover::RunMergeout(sim::Process& self, int node) {
     std::set<int> done;
     while (true) {
       std::map<int, std::vector<int>> strata =
-          MergeableStrata(hs.store->RosStats(), config_);
+          MergeableStrata(*hs.store, config_);
       auto it = strata.begin();
       while (it != strata.end() && done.count(it->first) > 0) ++it;
       if (it == strata.end()) break;

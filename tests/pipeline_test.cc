@@ -8,8 +8,11 @@
 // randomized suites take an extra seed from PIPELINE_SEED (the CI matrix
 // knob) on top of the fixed seeds.
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -407,6 +410,98 @@ TEST(PipelineV2STest, FusedScanFilterCombineMatchesUnfused) {
   EXPECT_EQ(EventsOnly(on.trace), EventsOnly(off.trace));
   EXPECT_GT(on.fused, 0);
   EXPECT_EQ(off.fused, 0);
+}
+
+// ------------------------------------------------------ FLOAT group keys
+
+// Classifies grouped (x, COUNT, SUM) rows by their FLOAT key: GROUP BY
+// must agree with `=`, so -0.0 joins 0.0 and both NaN signs share a group.
+std::string GroupsOf(const std::vector<Row>& rows) {
+  std::vector<std::string> out;
+  for (const Row& row : rows) {
+    const double x = row[0].float64_value();
+    out.push_back(StrCat(std::isnan(x) ? "nan" : x == 0 ? "zero" : "other",
+                         ":", row[1].int64_value(), ":",
+                         row[2].float64_value()));
+  }
+  std::sort(out.begin(), out.end());
+  std::string joined;
+  for (const std::string& line : out) joined += line + " ";
+  return joined;
+}
+
+constexpr char kFloatGroups[] = "nan:2:7 other:1:5 zero:2:3 ";
+
+TEST(GroupKeyTest, SignedZeroAndNaNGroupLikeEqualityInVertica) {
+  for (bool compile : {false, true}) {
+    SCOPED_TRACE(compile ? "compiled" : "interpreted");
+    sim::Engine engine;
+    net::Network network(&engine);
+    Database::Options vopts;
+    vopts.num_nodes = 3;
+    vopts.compile_pipelines = compile;
+    Database db(&engine, &network, vopts);
+    obs::Tracer tracer([&engine] { return engine.now(); });
+    obs::ScopedTracer install(&tracer);
+    engine.Spawn("client", [&](sim::Process& self) {
+      auto connected = db.Connect(self, 0, nullptr);
+      ASSERT_TRUE(connected.ok()) << connected.status();
+      Session& s = **connected;
+      auto exec = [&](const std::string& sql) {
+        auto result = s.Execute(self, sql);
+        EXPECT_TRUE(result.ok()) << sql << ": " << result.status();
+        return result.ok() ? std::move(*result) : QueryResult{};
+      };
+      exec("CREATE TABLE f (x FLOAT, n INTEGER) "
+           "SEGMENTED BY HASH(n) ALL NODES");
+      // inf - inf is NaN; negating it flips the sign bit.
+      exec("INSERT INTO f VALUES (-0.0, 1), (0.0, 2), "
+           "(1e308 * 10 - 1e308 * 10, 3), (-(1e308 * 10 - 1e308 * 10), 4), "
+           "(1.5, 5)");
+      QueryResult zeros = exec("SELECT COUNT(*) FROM f WHERE x = 0.0");
+      ASSERT_EQ(zeros.rows.size(), 1u);
+      EXPECT_EQ(zeros.rows[0][0].int64_value(), 2);
+      QueryResult grouped =
+          exec("SELECT x, COUNT(*), SUM(n) FROM f GROUP BY x");
+      EXPECT_EQ(GroupsOf(grouped.rows), kFloatGroups);
+      ASSERT_TRUE(s.Close(self).ok());
+    });
+    ASSERT_TRUE(engine.Run().ok());
+    EXPECT_EQ(tracer.metrics().counter("sql.compiled_pipelines") > 0,
+              compile);
+  }
+}
+
+TEST(GroupKeyTest, SignedZeroAndNaNGroupLikeEqualityInSpark) {
+  sim::Engine engine;
+  net::Network network(&engine);
+  spark::SparkCluster::Options sopts;
+  sopts.num_workers = 3;
+  spark::SparkCluster cluster(&engine, &network, sopts);
+  spark::SparkSession session(&cluster);
+  engine.Spawn("driver", [&](sim::Process& driver) {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    Schema schema({{"x", DataType::kFloat64}, {"n", DataType::kInt64}});
+    std::vector<Row> rows;
+    int64_t n = 0;
+    for (double x : {-0.0, 0.0, nan, -nan, 1.5}) {
+      rows.push_back({Value::Float64(x), Value::Int64(++n)});
+    }
+    auto df = session.CreateDataFrame(schema, std::move(rows), 3);
+    ASSERT_TRUE(df.ok()) << df.status();
+    // An identity filter keeps the plan off the driver-local shortcut, so
+    // the grouping runs through the map-side combine and the shuffle.
+    auto grouped =
+        df->Filter([](const Row&) -> Result<bool> { return true; })
+            .GroupBy({"x"});
+    ASSERT_TRUE(grouped.ok()) << grouped.status();
+    auto agged = grouped->Agg({spark::AggCount(), spark::AggSum("n")});
+    ASSERT_TRUE(agged.ok()) << agged.status();
+    auto collected = agged->Collect(driver);
+    ASSERT_TRUE(collected.ok()) << collected.status();
+    EXPECT_EQ(GroupsOf(*collected), kFloatGroups);
+  });
+  ASSERT_TRUE(engine.Run().ok());
 }
 
 // ------------------------------------------------------------- counters

@@ -318,6 +318,89 @@ TEST_F(ProjectionTest, AtEpochOlderThanProjectionFallsBackToSuper) {
   });
 }
 
+// CREATE PROJECTION registers the layout in the catalog before it
+// populates and commits it. A SELECT on the anchor planned anywhere in
+// that window must not be served from the half-built projection: swept
+// from just before the registration to the end of the DDL, it returns
+// exactly the anchor's rows.
+TEST_F(ProjectionTest, SelectDuringCreateProjectionReadsTheAnchor) {
+  constexpr int kRows = 2000;
+  constexpr int kSteps = 20;
+  const std::string query =
+      "SELECT region, SUM(amount), COUNT(*) FROM sales GROUP BY region "
+      "ORDER BY region";
+  const std::string ddl =
+      "CREATE PROJECTION p_sweep AS SELECT region, amount FROM sales "
+      "ORDER BY region SEGMENTED BY HASH(region)";
+  // Runs the DDL in its own process 1 s after the fixture is loaded, and
+  // `probe` on a session connected beforehand (connecting takes a
+  // handshake) at `ddl_start + offset`; returns (ddl_start, ddl_end).
+  using Probe = std::function<void(sim::Process&, Session&)>;
+  auto run = [&](double offset, const Probe& probe) {
+    double ddl_start = 0;
+    double ddl_end = 0;
+    RunDriver([&](sim::Process& driver) {
+      LoadFixture(driver, kRows);
+      ddl_start = engine_->now() + 1.0;
+      engine_->Spawn("ddl", [&](sim::Process& creator) {
+        ASSERT_TRUE(creator.Sleep(ddl_start - engine_->now()).ok());
+        ExecOk(creator, 1, ddl);
+        ddl_end = engine_->now();
+      });
+      auto session = db_->Connect(driver, 0, nullptr);
+      ASSERT_TRUE(session.ok()) << session.status();
+      ASSERT_TRUE(driver.Sleep(ddl_start + offset - engine_->now()).ok());
+      probe(driver, **session);
+      ASSERT_TRUE((*session)->Close(driver).ok());
+    });
+    return std::make_pair(ddl_start, ddl_end);
+  };
+  auto select = [&](sim::Process& driver, Session& session) {
+    auto result = session.Execute(driver, query);
+    EXPECT_TRUE(result.ok()) << result.status();
+    return result.ok() ? Lines(*result) : std::vector<std::string>{};
+  };
+
+  // Calibration: the anchor's answer, and when the projection appears in
+  // the catalog (polled every 0.1 ms) relative to the DDL's start.
+  std::vector<std::string> expected;
+  double registered = -1;
+  auto [start, end] = run(0, [&](sim::Process& driver, Session& session) {
+    while (!db_->catalog().HasProjection("p_sweep")) {
+      ASSERT_TRUE(driver.Sleep(1e-4).ok());
+    }
+    registered = engine_->now();
+    ASSERT_TRUE(driver.Sleep(5.0).ok());
+    expected = select(driver, session);
+    // Once created, the projection is the planner's choice.
+    auto plan = session.Execute(driver, "EXPLAIN " + query);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    EXPECT_NE(PlanText(*plan).find("projection: p_sweep"), std::string::npos)
+        << PlanText(*plan);
+  });
+  ASSERT_EQ(expected.size(), 4u);
+  ASSERT_GT(registered, start);
+  ASSERT_GT(end, registered);
+
+  const double from = registered - start - 1e-3;
+  const double span = end - start - from;
+  int inside = 0;
+  for (int step = 0; step <= kSteps; ++step) {
+    const double offset = from + span * step / kSteps;
+    SCOPED_TRACE(StrCat("SELECT at DDL start + ", offset, " s"));
+    Recreate(/*tm_enabled=*/false);
+    double select_at = 0;
+    auto [ddl_start, ddl_end] =
+        run(offset, [&](sim::Process& driver, Session& session) {
+          select_at = engine_->now();
+          EXPECT_EQ(select(driver, session), expected);
+        });
+    if (select_at > ddl_start && select_at < ddl_end) ++inside;
+  }
+  // The sweep means something only while the SELECTs start mid-DDL.
+  EXPECT_GE(inside, kSteps);
+}
+
 TEST_F(ProjectionTest, DropProjectionRemovesItFromPlanning) {
   RunDriver([&](sim::Process& driver) {
     LoadFixture(driver, 40);

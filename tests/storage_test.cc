@@ -1,10 +1,15 @@
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "seed_env.h"
+
 #include "common/random.h"
+#include "common/string_util.h"
 #include "storage/encoding.h"
 #include "storage/schema.h"
 #include "storage/segment_store.h"
@@ -301,6 +306,380 @@ TEST_P(EncodingPropertyTest, RandomColumnsRoundTrip) {
 INSTANTIATE_TEST_SUITE_P(Seeds, EncodingPropertyTest,
                          ::testing::Values(7, 17, 27, 37, 47));
 
+// Bit-level identity: null matches null, and a FLOAT matches only its own
+// bit pattern (-0.0 is not 0.0, and a NaN keeps its sign).
+bool SameBits(const Value& a, const Value& b) {
+  if (a.is_null() || b.is_null()) return a.is_null() && b.is_null();
+  if (a.type() != b.type()) return false;
+  if (a.type() != DataType::kFloat64) return a.Equals(b);
+  const double x = a.float64_value();
+  const double y = b.float64_value();
+  return std::memcmp(&x, &y, sizeof(x)) == 0;
+}
+
+void ExpectRoundTrip(const ColumnChunk& chunk,
+                     const std::vector<Value>& values) {
+  auto decoded = DecodeColumn(chunk);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  ASSERT_EQ(decoded->size(), values.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    ASSERT_TRUE(SameBits((*decoded)[i], values[i]))
+        << EncodingName(chunk.encoding) << " row " << i << ": "
+        << (*decoded)[i].ToDisplayString() << " vs "
+        << values[i].ToDisplayString();
+  }
+}
+
+constexpr Encoding kEncodings[] = {Encoding::kPlain, Encoding::kRle,
+                                   Encoding::kDictionary};
+
+// -0.0 and 0.0, and NaN of either sign, are four values to the encoder:
+// RLE must not fold -0.0 into a run of 0.0 (`==` would), and the
+// dictionary keeps one entry each.
+TEST(EncodingTest, SignedZerosAndNaNsRoundTripBitForBit) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<Value> values;
+  for (double d : {0.0, -0.0, 0.0, 0.0, nan, -nan, -nan, nan, -0.0, -0.0}) {
+    values.push_back(Value::Float64(d));
+  }
+  values.push_back(Value::Null());
+  for (Encoding e : kEncodings) {
+    auto chunk = EncodeColumnAs(DataType::kFloat64, e, values);
+    ASSERT_TRUE(chunk.ok()) << EncodingName(e);
+    ExpectRoundTrip(*chunk, values);
+  }
+  auto chosen = EncodeColumn(DataType::kFloat64, values);
+  ASSERT_TRUE(chosen.ok());
+  ExpectRoundTrip(*chosen, values);
+
+  // The run count and the dictionary size follow right after the null
+  // bitmap: 0 | -0 | 0 0 | nan | -nan -nan | nan | -0 -0 | NULL, and
+  // {0, -0, nan, -nan}.
+  auto count_after_bitmap = [&](Encoding e) {
+    auto chunk = EncodeColumnAs(DataType::kFloat64, e, values);
+    uint32_t count = 0;
+    std::memcpy(&count, chunk->data.data() + NullBitmapBytes(11),
+                sizeof(count));
+    return count;
+  };
+  EXPECT_EQ(count_after_bitmap(Encoding::kRle), 8u);
+  EXPECT_EQ(count_after_bitmap(Encoding::kDictionary), 4u);
+}
+
+// Exact ties keep the three-way trial's order: PLAIN over RLE and
+// DICTIONARY, RLE over DICTIONARY.
+TEST(EncodingTest, TiesKeepTheTrialOrder) {
+  const std::string b8(8, 'b');
+  struct Case {
+    DataType type;
+    std::vector<Value> values;
+    Encoding tied_with;
+    Encoding expected;
+  };
+  const std::vector<Case> cases = {
+      {DataType::kInt64, Int64Column({5, 5}), Encoding::kRle,
+       Encoding::kPlain},
+      {DataType::kInt64, Int64Column({1, 2, 1, 2, 1}),
+       Encoding::kDictionary, Encoding::kPlain},
+      {DataType::kVarchar,
+       {Value::Varchar(""), Value::Varchar(b8), Value::Varchar(b8),
+        Value::Varchar(b8), Value::Varchar(""), Value::Varchar(b8),
+        Value::Varchar(b8), Value::Varchar(b8)},
+       Encoding::kDictionary, Encoding::kRle},
+  };
+  for (const Case& c : cases) {
+    auto expected = EncodeColumnAs(c.type, c.expected, c.values);
+    auto tied = EncodeColumnAs(c.type, c.tied_with, c.values);
+    ASSERT_TRUE(expected.ok() && tied.ok());
+    ASSERT_EQ(expected->data.size(), tied->data.size());
+    auto chosen = EncodeColumn(c.type, c.values);
+    ASSERT_TRUE(chosen.ok());
+    EXPECT_EQ(chosen->encoding, c.expected)
+        << EncodingName(chosen->encoding) << " vs "
+        << EncodingName(c.expected);
+  }
+}
+
+// A random column of `type` with nulls, ±0.0, NaN of both signs,
+// infinities, integer extremes, empty strings, runs, and low or high
+// cardinality, mixed in proportions drawn per column.
+std::vector<Value> RandomColumn(Rng& rng, DataType type, size_t n) {
+  const double null_p = std::vector<double>{0, 0.05, 0.3, 1}[rng.NextUint64(4)];
+  const size_t cardinality =
+      std::vector<size_t>{1, 3, 16, 0}[rng.NextUint64(4)];  // 0: high
+  const size_t run = std::vector<size_t>{1, 1, 4, 32}[rng.NextUint64(4)];
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  auto fresh = [&]() -> Value {
+    switch (type) {
+      case DataType::kBool:
+        return Value::Bool(rng.NextBool(0.5));
+      case DataType::kInt64:
+        if (rng.NextBool(0.1)) {
+          return Value::Int64(std::vector<int64_t>{
+              0, -1, std::numeric_limits<int64_t>::min(),
+              std::numeric_limits<int64_t>::max()}[rng.NextUint64(4)]);
+        }
+        return Value::Int64(rng.NextInt64(-1000, 1000));
+      case DataType::kFloat64:
+        if (rng.NextBool(0.3)) {
+          return Value::Float64(std::vector<double>{
+              0.0, -0.0, nan, -nan, inf, -inf}[rng.NextUint64(6)]);
+        }
+        return Value::Float64(rng.NextDouble() * 200 - 100);
+      case DataType::kVarchar:
+        if (rng.NextBool(0.2)) return Value::Varchar("");
+        return Value::Varchar(
+            rng.NextString(static_cast<int>(rng.NextUint64(9))));
+    }
+    return Value::Null();
+  };
+  std::vector<Value> pool;
+  for (size_t i = 0; i < cardinality; ++i) pool.push_back(fresh());
+  std::vector<Value> out;
+  while (out.size() < n) {
+    Value v = rng.NextBool(null_p) ? Value::Null()
+              : pool.empty()       ? fresh()
+                                   : pool[rng.NextUint64(pool.size())];
+    for (size_t k = 0; k < run && out.size() < n; ++k) out.push_back(v);
+  }
+  return out;
+}
+
+constexpr DataType kTypes[] = {DataType::kBool, DataType::kInt64,
+                               DataType::kFloat64, DataType::kVarchar};
+
+// EncodeColumn measures every encoding in one pass and writes only the
+// winner; that winner must be exactly the chunk the three-way trial
+// would keep (smallest, ties to PLAIN then RLE), and every encoding must
+// decode back to the input bit for bit.
+TEST(EncodingTest, OnePassChoiceMatchesSmallestForcedEncoding) {
+  for (uint64_t seed : fabric::testing::PropertySeeds("TM_SEED")) {
+    SCOPED_TRACE(StrCat("seed ", seed));
+    Rng rng(seed);
+    for (int trial = 0; trial < 300; ++trial) {
+      const DataType type = kTypes[rng.NextUint64(4)];
+      const std::vector<Value> values =
+          RandomColumn(rng, type, rng.NextUint64(600));
+      SCOPED_TRACE(StrCat("trial ", trial, " ", DataTypeName(type), " x",
+                          values.size()));
+      std::vector<ColumnChunk> forced;
+      for (Encoding e : kEncodings) {
+        auto chunk = EncodeColumnAs(type, e, values);
+        ASSERT_TRUE(chunk.ok()) << chunk.status();
+        ExpectRoundTrip(*chunk, values);
+        forced.push_back(std::move(*chunk));
+      }
+      const ColumnChunk* best = &forced[0];
+      for (const ColumnChunk& chunk : forced) {
+        if (chunk.data.size() < best->data.size()) best = &chunk;
+      }
+      auto chosen = EncodeColumn(type, values);
+      ASSERT_TRUE(chosen.ok()) << chosen.status();
+      EXPECT_EQ(chosen->encoding, best->encoding);
+      EXPECT_EQ(chosen->num_rows, best->num_rows);
+      EXPECT_TRUE(chosen->data == best->data);
+    }
+  }
+}
+
+// ---------------------------------------- column-wise mergeout and purge
+
+Schema MixedSchema() {
+  return Schema({{"k", DataType::kInt64},
+                 {"x", DataType::kFloat64},
+                 {"s", DataType::kVarchar},
+                 {"b", DataType::kBool}});
+}
+
+std::vector<Row> RandomRows(Rng& rng, const Schema& schema, size_t n) {
+  std::vector<Row> rows(n);
+  for (int c = 0; c < schema.num_columns(); ++c) {
+    std::vector<Value> column = RandomColumn(rng, schema.column(c).type, n);
+    for (size_t i = 0; i < n; ++i) rows[i].push_back(std::move(column[i]));
+  }
+  return rows;
+}
+
+// A container's rows with what travels beside them.
+struct Contents {
+  std::vector<Row> rows;
+  std::vector<DeleteMark> marks;
+  std::vector<Epoch> epochs;
+};
+
+void AppendContents(const RosContainer& c, Contents* out) {
+  auto rows = c.DecodeRows();
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  for (uint32_t i = 0; i < c.num_rows(); ++i) {
+    out->rows.push_back((*rows)[i]);
+    out->marks.push_back(c.delete_marks()[i]);
+    out->epochs.push_back(c.row_epoch(i));
+  }
+}
+
+// The row-at-a-time reference: RosContainer::Create over the rows, with
+// their epochs and delete marks adopted.
+RosContainer ReferenceContainer(const Schema& schema,
+                                const PhysicalDesign& design,
+                                Contents contents) {
+  auto ref = RosContainer::Create(
+      schema, contents.rows, /*txn=*/1,
+      design.encodings.empty() ? nullptr : &design.encodings);
+  EXPECT_TRUE(ref.ok()) << ref.status();
+  ref->AdoptRowEpochs(std::move(contents.epochs));
+  ref->mutable_delete_marks() = std::move(contents.marks);
+  return std::move(*ref);
+}
+
+void ExpectSameContainer(const RosContainer& got, const RosContainer& want,
+                         int num_columns) {
+  ASSERT_EQ(got.num_rows(), want.num_rows());
+  EXPECT_EQ(got.committed(), want.committed());
+  EXPECT_EQ(got.raw_bytes(), want.raw_bytes());
+  EXPECT_EQ(got.commit_epoch(), want.commit_epoch());
+  EXPECT_EQ(got.min_epoch(), want.min_epoch());
+  for (int c = 0; c < num_columns; ++c) {
+    SCOPED_TRACE(StrCat("column ", c));
+    EXPECT_EQ(got.column(c).type, want.column(c).type);
+    EXPECT_EQ(got.column(c).encoding, want.column(c).encoding);
+    EXPECT_EQ(got.column(c).num_rows, want.column(c).num_rows);
+    EXPECT_TRUE(got.column(c).data == want.column(c).data);
+    EXPECT_TRUE(SameBits(got.min_value(c), want.min_value(c)));
+    EXPECT_TRUE(SameBits(got.max_value(c), want.max_value(c)));
+  }
+  for (uint32_t i = 0; i < got.num_rows(); ++i) {
+    EXPECT_EQ(got.row_epoch(i), want.row_epoch(i)) << "row " << i;
+    const DeleteMark& a = got.delete_marks()[i];
+    const DeleteMark& b = want.delete_marks()[i];
+    EXPECT_TRUE(a.state == b.state && a.epoch == b.epoch && a.txn == b.txn)
+        << "row " << i;
+  }
+}
+
+// Mergeout and purge rewrite containers column by column; the result must
+// be byte-identical to RosContainer::Create over the decoded rows —
+// every chunk, min/max, raw bytes, row epochs and delete marks — for
+// unsorted, sorted and force-encoded designs, with mixed-epoch inputs
+// and committed and pending deletes.
+TEST(ColumnwiseRewriteTest, MergeAndPurgeMatchCreateOverDecodedRows) {
+  const Schema schema = MixedSchema();
+  std::vector<PhysicalDesign> designs(4);
+  designs[1].sort_columns = {2, 0};
+  designs[2].sort_columns = {1};
+  designs[3].sort_columns = {3, 1};
+  designs[3].encodings = {Encoding::kRle, Encoding::kPlain,
+                          Encoding::kDictionary, Encoding::kRle};
+  for (uint64_t seed : fabric::testing::PropertySeeds("TM_SEED")) {
+    for (size_t d = 0; d < designs.size(); ++d) {
+      SCOPED_TRACE(StrCat("seed ", seed, " design ", d));
+      const PhysicalDesign& design = designs[d];
+      Rng rng(seed * 31 + d);
+      SegmentStore store(schema, design);
+      Epoch epoch = 1;
+      TxnId txn = 10;
+      auto rows = [&] { return RandomRows(rng, schema, 1 + rng.NextUint64(200)); };
+      for (int j = 0; j < 4; ++j) {
+        ASSERT_TRUE(store.InsertPendingDirect(txn, rows()).ok());
+        store.CommitTxn(txn++, ++epoch);
+      }
+      // A mixed-epoch container: two WOS batches moved out together.
+      for (int j = 0; j < 2; ++j) {
+        ASSERT_TRUE(store.InsertPending(txn, rows()).ok());
+        store.CommitTxn(txn++, ++epoch);
+      }
+      ASSERT_TRUE(store.Moveout().ok());
+      auto some = [&](double p) {
+        return [&rng, p](const Row&) { return rng.NextBool(p); };
+      };
+      // Deletes committed at or below the AHM, one committed above it,
+      // and one still pending.
+      ASSERT_TRUE(store.DeletePending(txn, epoch, some(0.2)).ok());
+      store.CommitTxn(txn++, ++epoch);
+      const Epoch ahm = epoch;
+      ASSERT_TRUE(store.DeletePending(txn, epoch, some(0.2)).ok());
+      store.CommitTxn(txn++, ++epoch);
+      ASSERT_TRUE(store.DeletePending(txn, epoch, some(0.1)).ok());
+      ASSERT_EQ(store.num_ros_containers(), 5);
+
+      // Merge a subset; the result lands at the lowest merged index.
+      const std::vector<int> merged = {4, 1, 2};
+      Contents inputs;
+      for (int idx : {1, 2, 4}) {
+        AppendContents(store.ros_container(idx), &inputs);
+      }
+      if (design.sorted()) {
+        std::vector<uint32_t> order(inputs.rows.size());
+        for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
+        std::stable_sort(order.begin(), order.end(), [&](uint32_t a,
+                                                          uint32_t b) {
+          for (int c : design.sort_columns) {
+            const Value& va = inputs.rows[a][c];
+            const Value& vb = inputs.rows[b][c];
+            if (va.is_null() != vb.is_null()) return va.is_null();
+            if (va.is_null()) continue;
+            int cmp = va.Compare(vb).value();
+            if (cmp != 0) return cmp < 0;
+          }
+          return false;
+        });
+        Contents sorted;
+        for (uint32_t i : order) {
+          sorted.rows.push_back(inputs.rows[i]);
+          sorted.marks.push_back(inputs.marks[i]);
+          sorted.epochs.push_back(inputs.epochs[i]);
+        }
+        inputs = std::move(sorted);
+      }
+      double input_bytes = 0;
+      for (int idx : merged) input_bytes += store.ros_container(idx).raw_bytes();
+      RosContainer want = ReferenceContainer(schema, design, inputs);
+      auto bytes = store.MergeRosContainers(merged);
+      ASSERT_TRUE(bytes.ok()) << bytes.status();
+      EXPECT_EQ(*bytes, input_bytes);
+      ASSERT_EQ(store.num_ros_containers(), 3);
+      {
+        SCOPED_TRACE("merge");
+        ExpectSameContainer(store.ros_container(1), want, schema.num_columns());
+        EXPECT_EQ(store.ros_container(1).raw_bytes(), input_bytes);
+      }
+
+      // Purge: every container keeps its surviving rows in place.
+      std::vector<RosContainer> expected;
+      int64_t dropped = 0;
+      for (int i = 0; i < store.num_ros_containers(); ++i) {
+        Contents all;
+        AppendContents(store.ros_container(i), &all);
+        Contents kept;
+        for (size_t r = 0; r < all.rows.size(); ++r) {
+          const DeleteMark& m = all.marks[r];
+          if (m.state == DeleteMark::State::kCommitted && m.epoch <= ahm) {
+            ++dropped;
+            continue;
+          }
+          kept.rows.push_back(all.rows[r]);
+          kept.marks.push_back(m);
+          kept.epochs.push_back(all.epochs[r]);
+        }
+        if (!kept.rows.empty()) {
+          expected.push_back(ReferenceContainer(schema, design, kept));
+        }
+      }
+      auto purged = store.PurgeDeletedRows(ahm);
+      ASSERT_TRUE(purged.ok()) << purged.status();
+      EXPECT_EQ(*purged, dropped);
+      EXPECT_GT(dropped, 0);
+      ASSERT_EQ(store.num_ros_containers(),
+                static_cast<int>(expected.size()));
+      for (size_t i = 0; i < expected.size(); ++i) {
+        SCOPED_TRACE(StrCat("purge, container ", i));
+        ExpectSameContainer(store.ros_container(static_cast<int>(i)),
+                            expected[i], schema.num_columns());
+      }
+    }
+  }
+}
+
 TEST(RosContainerTest, CreateComputesStats) {
   Schema schema = TestSchema();
   std::vector<Row> rows = {MakeRow(3, 1.0, "abc", true),
@@ -319,6 +698,24 @@ TEST(RosContainerTest, CreateComputesStats) {
   auto decoded = ros->DecodeRows();
   ASSERT_TRUE(decoded.ok());
   EXPECT_TRUE(RowsEqual((*decoded)[1], rows[1]));
+}
+
+// Among values equal under Value::Compare, a container's min/max is the
+// first one: 0.0 before -0.0, and the first NaN (NaN sorts last).
+TEST(RosContainerTest, MinMaxKeepTheFirstOfEqualValues) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Schema schema({{"x", DataType::kFloat64}});
+  std::vector<Row> rows;
+  for (double x : {0.0, -0.0, nan, -nan}) rows.push_back({Value::Float64(x)});
+  auto ros = RosContainer::Create(schema, rows, /*txn=*/1);
+  ASSERT_TRUE(ros.ok());
+  EXPECT_TRUE(SameBits(ros->min_value(0), Value::Float64(0.0)));
+  EXPECT_TRUE(SameBits(ros->max_value(0), Value::Float64(nan)));
+  std::reverse(rows.begin(), rows.end());
+  ros = RosContainer::Create(schema, rows, /*txn=*/1);
+  ASSERT_TRUE(ros.ok());
+  EXPECT_TRUE(SameBits(ros->min_value(0), Value::Float64(-0.0)));
+  EXPECT_TRUE(SameBits(ros->max_value(0), Value::Float64(-nan)));
 }
 
 class SegmentStoreTest : public ::testing::Test {
