@@ -107,16 +107,12 @@ void Permute(const std::vector<uint32_t>& order, std::vector<T>* vec) {
 // to (*columns)[c].
 Status AppendColumns(const RosContainer& container,
                      std::vector<std::vector<Value>>* columns) {
-  for (size_t c = 0; c < columns->size(); ++c) {
+  for (int c = 0; c < static_cast<int>(columns->size()); ++c) {
     FABRIC_ASSIGN_OR_RETURN(std::vector<Value> values,
-                            DecodeColumn(container.column(static_cast<int>(c))));
-    std::vector<Value>& out = (*columns)[c];
-    if (out.empty()) {
-      out = std::move(values);
-    } else {
-      out.insert(out.end(), std::make_move_iterator(values.begin()),
-                 std::make_move_iterator(values.end()));
-    }
+                            DecodeColumn(container.column(c)));
+    (*columns)[c].insert((*columns)[c].end(),
+                         std::make_move_iterator(values.begin()),
+                         std::make_move_iterator(values.end()));
   }
   return Status::OK();
 }

@@ -578,7 +578,9 @@ TEST(ColumnwiseRewriteTest, MergeAndPurgeMatchCreateOverDecodedRows) {
       SegmentStore store(schema, design);
       Epoch epoch = 1;
       TxnId txn = 10;
-      auto rows = [&] { return RandomRows(rng, schema, 1 + rng.NextUint64(200)); };
+      auto rows = [&] {
+        return RandomRows(rng, schema, 1 + rng.NextUint64(200));
+      };
       for (int j = 0; j < 4; ++j) {
         ASSERT_TRUE(store.InsertPendingDirect(txn, rows()).ok());
         store.CommitTxn(txn++, ++epoch);
@@ -632,7 +634,9 @@ TEST(ColumnwiseRewriteTest, MergeAndPurgeMatchCreateOverDecodedRows) {
         inputs = std::move(sorted);
       }
       double input_bytes = 0;
-      for (int idx : merged) input_bytes += store.ros_container(idx).raw_bytes();
+      for (int idx : merged) {
+        input_bytes += store.ros_container(idx).raw_bytes();
+      }
       RosContainer want = ReferenceContainer(schema, design, inputs);
       auto bytes = store.MergeRosContainers(merged);
       ASSERT_TRUE(bytes.ok()) << bytes.status();
