@@ -236,13 +236,16 @@ V2SRelation::QueryShape V2SRelation::BuildQueryShape(
 
 std::string V2SRelation::RenderPartitionQuery(int partition,
                                               const QueryShape& shape) const {
-  // Every conjunct emitted here — the HASH(...) ring-range bounds and the
-  // Spark column filters (column <op> literal) — is a shape the server's
-  // analyzer compiles into predicate kernels (CompileScanPredicate), so a
-  // V2S partition query runs entirely on encoded columns with no
-  // interpreter residual. The vacuous `>= min` lower bound is emitted
-  // anyway: the per-row HASH evaluation cost it charges is part of the
-  // Section 4.7.2 calibration.
+  // The HASH(...) ring-range bounds and the Spark column filters
+  // (column <op> literal) are shapes the server's analyzer compiles into
+  // predicate kernels (CompileScanPredicate), so a V2S partition query
+  // runs on encoded columns. Three filter shapes stay in the interpreter
+  // residual: a NULL literal, a type-mismatched comparison (which the
+  // interpreter rejects with its error) and an INTEGER literal of
+  // magnitude >= 2^53 against an INTEGER column (which only the
+  // interpreter compares exactly). The vacuous `>= min` lower bound is emitted anyway: the
+  // per-row HASH evaluation cost it charges is part of the Section 4.7.2
+  // calibration.
   const HashRange& range = partition_ranges_[partition];
   std::string hash_call =
       StrCat("HASH(", Join(segmentation_columns_, ", "), ")");

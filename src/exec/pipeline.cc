@@ -126,8 +126,8 @@ class Evaluator {
         if (!EvalNode(n.a, active)) return false;
         const Lanes& a = state_->frames[n.a];
         for (uint32_t i : active) {
-          bool is_null = a.nulls[i] != 0;
-          out.bools[i] = (n.negated ? !is_null : is_null) ? 1 : 0;
+          const bool is_null = a.nulls[i] != 0;
+          out.bools[i] = is_null == (n.cmp == storage::CompareOp::kIsNull);
         }
         return true;
       }
@@ -339,28 +339,7 @@ class Evaluator {
         // ... any other numeric pair by value through double.
         c = storage::CompareNumbers(a.Number(i), b.Number(i));
       }
-      bool v = false;
-      switch (n.cmp) {
-        case Node::Cmp::kEq:
-          v = c == 0;
-          break;
-        case Node::Cmp::kNe:
-          v = c != 0;
-          break;
-        case Node::Cmp::kLt:
-          v = c < 0;
-          break;
-        case Node::Cmp::kLe:
-          v = c <= 0;
-          break;
-        case Node::Cmp::kGt:
-          v = c > 0;
-          break;
-        case Node::Cmp::kGe:
-          v = c >= 0;
-          break;
-      }
-      out->bools[i] = v ? 1 : 0;
+      out->bools[i] = storage::ComparePasses(n.cmp, c);
     }
     return true;
   }
@@ -429,6 +408,25 @@ class Evaluator {
 };
 
 }  // namespace
+
+int AppendComparison(std::vector<Node>* nodes, storage::CompareOp op, int a,
+                     int b) {
+  const bool null_test = storage::IsNullTest(op);
+  const bool a_str = (*nodes)[a].type == DataType::kVarchar;
+  if (!null_test && a_str != ((*nodes)[b].type == DataType::kVarchar)) {
+    return -1;
+  }
+  Node& n = nodes->emplace_back();
+  n.op = null_test ? Node::Op::kIsNull : Node::Op::kCompare;
+  n.type = DataType::kBool;
+  n.cmp = op;
+  n.a = a;
+  if (!null_test) {
+    n.b = b;
+    n.string_compare = a_str;
+  }
+  return static_cast<int>(nodes->size()) - 1;
+}
 
 bool Program::Eval(const Row* rows, size_t block_rows,
                    const std::vector<uint32_t>& active,

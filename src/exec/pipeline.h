@@ -69,7 +69,7 @@ struct Node {
     kColumn,   // input column load with declared-type check
     kNot,      // NOT (bool)
     kNegate,   // unary minus
-    kIsNull,   // IS [NOT] NULL (negated)
+    kIsNull,   // IS [NOT] NULL (cmp is one of the null tests)
     kAnd,      // Kleene AND with masked rhs (interpreter short-circuit)
     kOr,       // Kleene OR with masked rhs
     kCompare,  // = <> < <= > >= via Value::Compare's promotion rules
@@ -79,19 +79,25 @@ struct Node {
     kMod,      // int64 %, bails on divisor == 0
     kAbs, kFloor, kCeil, kLength, kUpper, kLower,
   };
-  enum class Cmp { kEq, kNe, kLt, kLe, kGt, kGe };
-
   Op op = Op::kConst;
   storage::DataType type = storage::DataType::kBool;  // static output type
   int a = -1;
   int b = -1;
   int column = -1;              // kColumn
   storage::Value constant;      // kConst
-  Cmp cmp = Cmp::kEq;           // kCompare
-  bool negated = false;         // kIsNull: IS NOT NULL
+  storage::CompareOp cmp = storage::CompareOp::kEq;  // kCompare, kIsNull
   bool int_arith = false;       // kAdd/kSub/kMul on int64 lanes
   bool string_compare = false;  // kCompare on varchar lanes
 };
+
+// Appends the node for `nodes[a] <op> nodes[b]`, or `nodes[a] IS [NOT]
+// NULL` for a null test (b unused), and returns its index. The one
+// typing rule for compiled comparisons: a varchar against a non-varchar
+// appends nothing and returns -1, because Value::Compare rejects that
+// pair with an error only the interpreter raises; every other pair
+// compares as Value::Compare does.
+int AppendComparison(std::vector<Node>* nodes, storage::CompareOp op, int a,
+                     int b = -1);
 
 // Reusable per-evaluation scratch (lane frames and sub-selections);
 // hoisted out of Program::Eval so block loops reuse capacity.

@@ -260,8 +260,10 @@ std::shared_ptr<const Plan> PushDownPass(std::shared_ptr<const Plan> plan) {
       auto child = PushDownPass(plan->child);
       // A filter commutes with the scan's WHERE but not with a pushed
       // LIMIT (the cap samples rows before the filter would run).
+      // Sources may render it as SQL, so it must read back unchanged.
       if (child->kind == Plan::Kind::kScan &&
-          ScanAcceptsRowPushdowns(*child) && child->pushed.limit < 0) {
+          ScanAcceptsRowPushdowns(*child) && child->pushed.limit < 0 &&
+          plan->predicate.RoundTripsThroughSql()) {
         auto fused = std::make_shared<Plan>(*child);
         fused->pushed.filters.push_back(plan->predicate);
         fused->schema = plan->schema;

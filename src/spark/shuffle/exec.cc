@@ -142,61 +142,25 @@ std::shared_ptr<const FusedMapStage> TryFuseMapStage(
     FusedMapStage::Filter f;
     f.remapped = p;
     f.remapped.column = leaf_name;
-    const storage::DataType col_type = leaf_schema.column(leaf_col).type;
-    exec::Node load;
-    load.op = exec::Node::Op::kColumn;
-    load.type = col_type;
-    load.column = leaf_col;
-    if (p.op == ColumnPredicate::Op::kIsNull ||
-        p.op == ColumnPredicate::Op::kIsNotNull) {
-      exec::Node is_null;
-      is_null.op = exec::Node::Op::kIsNull;
-      is_null.type = storage::DataType::kBool;
-      is_null.a = 0;
-      is_null.negated = p.op == ColumnPredicate::Op::kIsNotNull;
-      f.program.nodes = {std::move(load), std::move(is_null)};
-    } else if (p.literal.is_null()) {
-      f.const_false = true;
-    } else {
-      // Value::Compare promotes every non-varchar through AsDouble, so
-      // the only statically uncomparable shape is varchar vs. numeric.
-      const bool col_str = col_type == storage::DataType::kVarchar;
-      if (col_str != (p.literal.type() == storage::DataType::kVarchar)) {
+    const bool null_test = storage::IsNullTest(p.op);
+    f.const_false = !null_test && p.literal.is_null();
+    if (!f.const_false) {
+      std::vector<exec::Node>& nodes = f.program.nodes;
+      exec::Node load;
+      load.op = exec::Node::Op::kColumn;
+      load.type = leaf_schema.column(leaf_col).type;
+      load.column = leaf_col;
+      nodes.push_back(std::move(load));
+      if (!null_test) {
+        exec::Node lit;
+        lit.op = exec::Node::Op::kConst;
+        lit.type = p.literal.type();
+        lit.constant = p.literal;
+        nodes.push_back(std::move(lit));
+      }
+      if (exec::AppendComparison(&nodes, p.op, 0, null_test ? -1 : 1) < 0) {
         return nullptr;
       }
-      exec::Node lit;
-      lit.op = exec::Node::Op::kConst;
-      lit.type = p.literal.type();
-      lit.constant = p.literal;
-      exec::Node cmp;
-      cmp.op = exec::Node::Op::kCompare;
-      cmp.type = storage::DataType::kBool;
-      cmp.a = 0;
-      cmp.b = 1;
-      cmp.string_compare = col_str;
-      switch (p.op) {
-        case ColumnPredicate::Op::kEq:
-          cmp.cmp = exec::Node::Cmp::kEq;
-          break;
-        case ColumnPredicate::Op::kNe:
-          cmp.cmp = exec::Node::Cmp::kNe;
-          break;
-        case ColumnPredicate::Op::kLt:
-          cmp.cmp = exec::Node::Cmp::kLt;
-          break;
-        case ColumnPredicate::Op::kLe:
-          cmp.cmp = exec::Node::Cmp::kLe;
-          break;
-        case ColumnPredicate::Op::kGt:
-          cmp.cmp = exec::Node::Cmp::kGt;
-          break;
-        case ColumnPredicate::Op::kGe:
-          cmp.cmp = exec::Node::Cmp::kGe;
-          break;
-        default:
-          return nullptr;
-      }
-      f.program.nodes = {std::move(load), std::move(lit), std::move(cmp)};
     }
     fused->filters.push_back(std::move(f));
   }

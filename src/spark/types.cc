@@ -1,5 +1,7 @@
 #include "spark/types.h"
 
+#include <cmath>
+
 #include "common/string_util.h"
 
 namespace fabric::spark {
@@ -65,44 +67,21 @@ Result<bool> ColumnPredicate::Matches(const storage::Schema& schema,
   if (op == Op::kIsNotNull) return !v.is_null();
   if (v.is_null() || literal.is_null()) return false;
   FABRIC_ASSIGN_OR_RETURN(int c, v.Compare(literal));
-  switch (op) {
-    case Op::kEq:
-      return c == 0;
-    case Op::kNe:
-      return c != 0;
-    case Op::kLt:
-      return c < 0;
-    case Op::kLe:
-      return c <= 0;
-    case Op::kGt:
-      return c > 0;
-    case Op::kGe:
-      return c >= 0;
-    default:
-      return InternalError("corrupt predicate");
-  }
+  return storage::ComparePasses(op, c);
 }
 
 std::string ColumnPredicate::ToSqlCondition() const {
-  switch (op) {
-    case Op::kIsNull:
-      return StrCat(column, " IS NULL");
-    case Op::kIsNotNull:
-      return StrCat(column, " IS NOT NULL");
-    case Op::kEq:
-      return StrCat(column, " = ", literal.ToSqlLiteral());
-    case Op::kNe:
-      return StrCat(column, " <> ", literal.ToSqlLiteral());
-    case Op::kLt:
-      return StrCat(column, " < ", literal.ToSqlLiteral());
-    case Op::kLe:
-      return StrCat(column, " <= ", literal.ToSqlLiteral());
-    case Op::kGt:
-      return StrCat(column, " > ", literal.ToSqlLiteral());
-    case Op::kGe:
-      return StrCat(column, " >= ", literal.ToSqlLiteral());
+  std::string condition = StrCat(column, " ", storage::CompareOpName(op));
+  if (!storage::IsNullTest(op)) {
+    condition += StrCat(" ", literal.ToSqlLiteral());
   }
-  return "";
+  return condition;
+}
+
+bool ColumnPredicate::RoundTripsThroughSql() const {
+  return storage::IsNullTest(op) || literal.is_null() ||
+         literal.type() != storage::DataType::kFloat64 ||
+         std::isfinite(literal.float64_value());
 }
 
 const char* AggregateFnName(AggregateFn fn) {

@@ -38,21 +38,28 @@ class SourceOptions {
 };
 
 // Simple column-vs-literal predicates, the shape Spark's External Data
-// Source API can push down to sources.
+// Source API can push down to sources. `literal` is unused by the null
+// tests.
 struct ColumnPredicate {
-  enum class Op { kEq, kNe, kLt, kLe, kGt, kGe, kIsNull, kIsNotNull };
+  using Op = storage::CompareOp;
   std::string column;
   Op op = Op::kEq;
   storage::Value literal;
 
-  // Evaluates against a row of `schema`. NULL comparisons are false
-  // (SQL semantics).
+  // Evaluates against a row of `schema`: the authoritative meaning of a
+  // Spark-side filter. Comparisons order values as Value::Compare does,
+  // and a NULL on either side matches nothing (SQL semantics).
   Result<bool> Matches(const storage::Schema& schema,
                        const storage::Row& row) const;
 
   // Renders as a SQL condition ("score >= 20") for sources that push
   // down by query rewriting.
   std::string ToSqlCondition() const;
+
+  // Whether the server parses ToSqlCondition() back into this same
+  // predicate. A non-finite FLOAT literal has no SQL spelling (`inf`
+  // would read as a column name), so such a filter stays in Spark.
+  bool RoundTripsThroughSql() const;
 };
 
 // Aggregate functions a source may evaluate on the DataFrame's behalf.

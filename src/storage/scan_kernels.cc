@@ -43,42 +43,6 @@ inline const RunSpan& SpanAt(const std::vector<RunSpan>& runs, size_t* run,
 
 }  // namespace
 
-const char* CompareOpName(CompareOp op) {
-  switch (op) {
-    case CompareOp::kEq:
-      return "=";
-    case CompareOp::kNe:
-      return "<>";
-    case CompareOp::kLt:
-      return "<";
-    case CompareOp::kLe:
-      return "<=";
-    case CompareOp::kGt:
-      return ">";
-    case CompareOp::kGe:
-      return ">=";
-  }
-  return "?";
-}
-
-bool ComparePasses(CompareOp op, int three_way) {
-  switch (op) {
-    case CompareOp::kEq:
-      return three_way == 0;
-    case CompareOp::kNe:
-      return three_way != 0;
-    case CompareOp::kLt:
-      return three_way < 0;
-    case CompareOp::kLe:
-      return three_way <= 0;
-    case CompareOp::kGt:
-      return three_way > 0;
-    case CompareOp::kGe:
-      return three_way >= 0;
-  }
-  return false;
-}
-
 bool ScanPredicate::Matches(const Row& row) const {
   if (always_false) return false;
   for (const CompareTerm& t : compares) {
@@ -125,8 +89,9 @@ bool CompareTermCanMatch(const CompareTerm& term, const Value& min,
       return hi > 0;
     case CompareOp::kGe:
       return hi >= 0;
+    default:
+      return true;
   }
-  return true;
 }
 
 void FilterCompare(const CompareTerm& term, const ColumnCursor& cursor,

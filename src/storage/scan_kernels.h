@@ -18,11 +18,8 @@ namespace fabric::storage {
 // current selection and writes the surviving subset.
 using SelectionVector = std::vector<uint32_t>;
 
-enum class CompareOp : uint8_t { kEq, kNe, kLt, kLe, kGt, kGe };
-
-const char* CompareOpName(CompareOp op);
-
-// `column <op> literal` over one column. Numeric terms compare through
+// `column <op> literal` over one column (op is one of the six
+// comparisons; null tests are NullTestTerms). Numeric terms compare through
 // double (CompareNumbers, matching Value::Compare's cross-type numeric
 // semantics, bool included); that order is exact for an INTEGER column
 // only because the analyzer compiles INTEGER literals below 2^53 alone.
@@ -65,10 +62,6 @@ struct ScanPredicate {
   // Row-at-a-time evaluation (WOS rows and the reference path in tests).
   bool Matches(const Row& row) const;
 };
-
-// True when `cmp(v, literal)` for scalar comparison semantics shared by
-// every kernel: -1/0/1 three-way then op test.
-bool ComparePasses(CompareOp op, int three_way);
 
 // Container pruning: can any value in [min, max] satisfy the term?
 // A null min means the column has no non-null rows => nothing passes.

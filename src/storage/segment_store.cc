@@ -635,53 +635,66 @@ Result<std::vector<uint32_t>> SegmentStore::SelectRosRows(
   return sel;
 }
 
-Result<std::vector<Row>> SegmentStore::Scan(const ScanSpec& spec,
-                                            ScanStats* stats) const {
-  std::vector<Row> out;
-  auto at_limit = [&] {
-    return spec.limit >= 0 &&
-           static_cast<int64_t>(out.size()) >= spec.limit;
-  };
-  for (const RosContainer& container : ros_) {
-    if (at_limit()) break;
-    FABRIC_RETURN_IF_ERROR(
-        SelectRosRows(container, spec, stats, &out).status());
+Status SegmentStore::SelectWosRows(const WosBatch& batch, const ScanSpec& spec,
+                                   int64_t limit, ScanStats* stats,
+                                   std::vector<Row>* emit,
+                                   std::vector<uint32_t>* selected) const {
+  if (batch.committed() ? batch.commit_epoch > spec.as_of
+                        : batch.pending_txn != spec.txn) {
+    return Status::OK();
   }
-  // WOS rows are uncompressed; filter them row-at-a-time.
   std::vector<int> all;
   const std::vector<int>* projection = spec.projection;
-  if (projection == nullptr) {
+  if (projection == nullptr && emit != nullptr) {
     all = AllColumns(schema_);
     projection = &all;
   }
-  for (const WosBatch& batch : wos_) {
-    if (at_limit()) break;
-    if (!batch.committed() && batch.pending_txn != spec.txn) continue;
-    if (batch.committed() && batch.commit_epoch > spec.as_of) continue;
-    TxnId owner = batch.committed() ? 0 : batch.pending_txn;
-    for (size_t i = 0; i < batch.rows.size() && !at_limit(); ++i) {
-      if (!VersionVisible(owner, batch.commit_epoch, batch.delete_marks[i],
-                          spec.as_of, spec.txn)) {
-        continue;
-      }
-      const Row& row = batch.rows[i];
-      ++stats->rows_visible;
-      if (spec.cost_columns != nullptr) {
-        MeasureRowColumns(row, *spec.cost_columns, &stats->visible_profile);
-      }
-      if (spec.predicate != nullptr && !spec.predicate->Matches(row)) {
-        continue;
-      }
-      if (spec.residual) {
-        FABRIC_ASSIGN_OR_RETURN(bool keep, spec.residual(row));
-        if (!keep) continue;
-      }
-      ++stats->rows_emitted;
-      MeasureRowColumns(row, *projection, &stats->output_profile);
-      Row masked(static_cast<size_t>(schema_.num_columns()));
-      for (int c : *projection) masked[c] = row[c];
-      out.push_back(std::move(masked));
+  const TxnId owner = batch.committed() ? 0 : batch.pending_txn;
+  for (uint32_t i = 0; i < batch.rows.size(); ++i) {
+    if (emit != nullptr && limit >= 0 &&
+        static_cast<int64_t>(emit->size()) >= limit) {
+      break;
     }
+    if (!VersionVisible(owner, batch.commit_epoch, batch.delete_marks[i],
+                        spec.as_of, spec.txn)) {
+      continue;
+    }
+    const Row& row = batch.rows[i];
+    ++stats->rows_visible;
+    if (spec.cost_columns != nullptr) {
+      MeasureRowColumns(row, *spec.cost_columns, &stats->visible_profile);
+    }
+    if (spec.predicate != nullptr && !spec.predicate->Matches(row)) {
+      continue;
+    }
+    if (spec.residual) {
+      FABRIC_ASSIGN_OR_RETURN(bool keep, spec.residual(row));
+      if (!keep) continue;
+    }
+    if (selected != nullptr) selected->push_back(i);
+    if (emit == nullptr) continue;
+    ++stats->rows_emitted;
+    MeasureRowColumns(row, *projection, &stats->output_profile);
+    Row masked(static_cast<size_t>(schema_.num_columns()));
+    for (int c : *projection) masked[c] = row[c];
+    emit->push_back(std::move(masked));
+  }
+  return Status::OK();
+}
+
+Result<std::vector<Row>> SegmentStore::Scan(const ScanSpec& spec,
+                                            ScanStats* stats) const {
+  std::vector<Row> out;
+  for (const RosContainer& container : ros_) {
+    if (spec.limit >= 0 && static_cast<int64_t>(out.size()) >= spec.limit) {
+      break;
+    }
+    FABRIC_RETURN_IF_ERROR(
+        SelectRosRows(container, spec, stats, &out).status());
+  }
+  for (const WosBatch& batch : wos_) {
+    FABRIC_RETURN_IF_ERROR(
+        SelectWosRows(batch, spec, spec.limit, stats, &out, nullptr));
   }
   // A ROS container crossing the cap emits its full selection; trim the
   // overshoot so every caller sees exactly `limit` rows.
@@ -697,6 +710,7 @@ Result<std::vector<Row>> SegmentStore::Scan(const ScanSpec& spec,
 Result<int64_t> SegmentStore::MarkDeletedPending(const ScanSpec& spec,
                                                  std::vector<Row>* victims) {
   FABRIC_CHECK(spec.txn != 0) << "MarkDeletedPending requires a transaction";
+  const DeleteMark pending{DeleteMark::State::kPending, 0, spec.txn};
   int64_t marked = 0;
   ScanStats ignored;
   for (RosContainer& container : ros_) {
@@ -704,33 +718,16 @@ Result<int64_t> SegmentStore::MarkDeletedPending(const ScanSpec& spec,
         std::vector<uint32_t> sel,
         SelectRosRows(container, spec, &ignored, victims));
     auto& marks = container.mutable_delete_marks();
-    for (uint32_t pos : sel) {
-      marks[pos] = DeleteMark{DeleteMark::State::kPending, 0, spec.txn};
-      ++marked;
-    }
+    for (uint32_t pos : sel) marks[pos] = pending;
+    marked += static_cast<int64_t>(sel.size());
   }
+  std::vector<uint32_t> sel;
   for (WosBatch& batch : wos_) {
-    if (!batch.committed() && batch.pending_txn != spec.txn) continue;
-    if (batch.committed() && batch.commit_epoch > spec.as_of) continue;
-    TxnId owner = batch.committed() ? 0 : batch.pending_txn;
-    for (size_t i = 0; i < batch.rows.size(); ++i) {
-      if (!VersionVisible(owner, batch.commit_epoch, batch.delete_marks[i],
-                          spec.as_of, spec.txn)) {
-        continue;
-      }
-      const Row& row = batch.rows[i];
-      if (spec.predicate != nullptr && !spec.predicate->Matches(row)) {
-        continue;
-      }
-      if (spec.residual) {
-        FABRIC_ASSIGN_OR_RETURN(bool keep, spec.residual(row));
-        if (!keep) continue;
-      }
-      batch.delete_marks[i] = DeleteMark{DeleteMark::State::kPending, 0,
-                                         spec.txn};
-      if (victims != nullptr) victims->push_back(row);
-      ++marked;
-    }
+    sel.clear();
+    FABRIC_RETURN_IF_ERROR(SelectWosRows(batch, spec, /*limit=*/-1, &ignored,
+                                         victims, &sel));
+    for (uint32_t pos : sel) batch.delete_marks[pos] = pending;
+    marked += static_cast<int64_t>(sel.size());
   }
   return marked;
 }

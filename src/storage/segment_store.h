@@ -343,6 +343,17 @@ class SegmentStore {
                                               ScanStats* stats,
                                               std::vector<Row>* emit) const;
 
+  // The WOS half of the same pipeline: visibility, the predicate and
+  // the residual, row at a time, with the same accounting. Appends each
+  // selected row's position in `batch` to *selected when non-null. When
+  // `emit` != null it also appends the row (schema width, masked to the
+  // projection), stopping once *emit holds `limit` rows (< 0:
+  // unlimited).
+  Status SelectWosRows(const WosBatch& batch, const ScanSpec& spec,
+                       int64_t limit, ScanStats* stats,
+                       std::vector<Row>* emit,
+                       std::vector<uint32_t>* selected) const;
+
   // Applies the design's sort order to (rows, marks, epochs) in tandem
   // (stable, so equal keys keep arrival order — deterministic across
   // buddy copies). No-op for unsorted designs. `marks`/`epochs` may be

@@ -23,6 +23,60 @@ const char* DataTypeName(DataType type) {
   return "?";
 }
 
+namespace {
+
+// Indexed by CompareOp.
+constexpr const char* kCompareOpNames[] = {
+    "=", "<>", "<", "<=", ">", ">=", "IS NULL", "IS NOT NULL"};
+
+}  // namespace
+
+// The interpreter parses its operator once per evaluated row, so this
+// dispatches on the characters instead of comparing whole strings.
+std::optional<CompareOp> ParseCompareOp(std::string_view symbol) {
+  if (symbol.size() == 1) {
+    switch (symbol[0]) {
+      case '=':
+        return CompareOp::kEq;
+      case '<':
+        return CompareOp::kLt;
+      case '>':
+        return CompareOp::kGt;
+    }
+  } else if (symbol.size() == 2 && symbol[1] == '=') {
+    switch (symbol[0]) {
+      case '<':
+        return CompareOp::kLe;
+      case '>':
+        return CompareOp::kGe;
+      case '!':
+        return CompareOp::kNe;
+    }
+  } else if (symbol == "<>") {
+    return CompareOp::kNe;
+  }
+  return std::nullopt;
+}
+
+CompareOp FlipCompareOp(CompareOp op) {
+  switch (op) {
+    case CompareOp::kLt:
+      return CompareOp::kGt;
+    case CompareOp::kLe:
+      return CompareOp::kGe;
+    case CompareOp::kGt:
+      return CompareOp::kLt;
+    case CompareOp::kGe:
+      return CompareOp::kLe;
+    default:
+      return op;
+  }
+}
+
+const char* CompareOpName(CompareOp op) {
+  return kCompareOpNames[static_cast<int>(op)];
+}
+
 Result<DataType> ParseDataType(std::string_view name) {
   std::string lower = ToLower(name);
   // Strip a VARCHAR(n) length suffix if present.

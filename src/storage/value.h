@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <variant>
@@ -35,6 +36,50 @@ inline int CompareNumbers(double a, double b) {
 inline int CompareIntegers(int64_t a, int64_t b) {
   return a < b ? -1 : (a > b ? 1 : 0);
 }
+
+// The comparison vocabulary every predicate evaluator shares (scan
+// kernels, compiled programs, the SQL interpreter and Spark's pushed
+// filters): the six SQL comparisons of two values, plus the two null
+// tests, which read one operand and never reach ComparePasses.
+enum class CompareOp : uint8_t {
+  kEq, kNe, kLt, kLe, kGt, kGe, kIsNull, kIsNotNull
+};
+
+inline bool IsNullTest(CompareOp op) {
+  return op == CompareOp::kIsNull || op == CompareOp::kIsNotNull;
+}
+
+// Whether a three-way order (-1/0/1: CompareNumbers, CompareIntegers,
+// Value::Compare) satisfies the comparison.
+inline bool ComparePasses(CompareOp op, int three_way) {
+  switch (op) {
+    case CompareOp::kEq:
+      return three_way == 0;
+    case CompareOp::kNe:
+      return three_way != 0;
+    case CompareOp::kLt:
+      return three_way < 0;
+    case CompareOp::kLe:
+      return three_way <= 0;
+    case CompareOp::kGt:
+      return three_way > 0;
+    case CompareOp::kGe:
+      return three_way >= 0;
+    default:
+      return false;
+  }
+}
+
+// The comparison a SQL operator spells ("=", "<>", "!=", "<", "<=", ">",
+// ">="); nullopt for every other string.
+std::optional<CompareOp> ParseCompareOp(std::string_view symbol);
+
+// The comparison that holds with the operands swapped (`a < b` is
+// `b > a`); = and <> are their own flips.
+CompareOp FlipCompareOp(CompareOp op);
+
+// SQL spelling: "=", "<>", "<", "<=", ">", ">=", "IS NULL", "IS NOT NULL".
+const char* CompareOpName(CompareOp op);
 
 // A single nullable SQL value. Small, copyable; the fabric's lingua franca
 // between Spark Rows, Vertica storage and the connectors.

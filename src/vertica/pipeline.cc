@@ -68,12 +68,10 @@ class Lowering {
         if (e.args.size() != 1) return -1;
         int a = Lower(*e.args[0]);
         if (a < 0) return -1;
-        exec::Node n;
-        n.op = exec::Node::Op::kIsNull;
-        n.type = DataType::kBool;
-        n.a = a;
-        n.negated = e.negated;
-        return Push(std::move(n));
+        return exec::AppendComparison(&nodes_,
+                                      e.negated ? storage::CompareOp::kIsNotNull
+                                                : storage::CompareOp::kIsNull,
+                                      a);
       }
       case sql::Expr::Kind::kBinary:
         return LowerBinary(e);
@@ -104,21 +102,8 @@ class Lowering {
       n.type = DataType::kBool;
       return Push(std::move(n));
     }
-    if (op == "=" || op == "<>" || op == "<" || op == "<=" || op == ">" ||
-        op == ">=") {
-      bool both_str =
-          ta == DataType::kVarchar && tb == DataType::kVarchar;
-      if (!both_str && (!IsNumeric(ta) || !IsNumeric(tb))) return -1;
-      n.op = exec::Node::Op::kCompare;
-      n.type = DataType::kBool;
-      n.string_compare = both_str;
-      if (op == "=") n.cmp = exec::Node::Cmp::kEq;
-      else if (op == "<>") n.cmp = exec::Node::Cmp::kNe;
-      else if (op == "<") n.cmp = exec::Node::Cmp::kLt;
-      else if (op == "<=") n.cmp = exec::Node::Cmp::kLe;
-      else if (op == ">") n.cmp = exec::Node::Cmp::kGt;
-      else n.cmp = exec::Node::Cmp::kGe;
-      return Push(std::move(n));
+    if (auto cmp = storage::ParseCompareOp(op)) {
+      return exec::AppendComparison(&nodes_, *cmp, a, b);
     }
     if (op == "||") {
       // The interpreter concatenates display strings of any type; the

@@ -41,23 +41,20 @@ void CollectCompareColumns(const sql::Expr& expr, const Schema& schema,
       CollectCompareColumns(*expr.args[1], schema, out);
       return;
     }
-    static const char* const kCompareOps[] = {"=", "<", "<=", ">", ">="};
-    for (const char* op : kCompareOps) {
-      if (expr.op != op) continue;
-      const sql::Expr& lhs = *expr.args[0];
-      const sql::Expr& rhs = *expr.args[1];
-      const sql::Expr* col = nullptr;
-      if (lhs.kind == sql::Expr::Kind::kColumnRef &&
-          rhs.kind == sql::Expr::Kind::kLiteral) {
-        col = &lhs;
-      } else if (rhs.kind == sql::Expr::Kind::kColumnRef &&
-                 lhs.kind == sql::Expr::Kind::kLiteral) {
-        col = &rhs;
-      }
-      if (col != nullptr && schema.Contains(col->column)) {
-        out->insert(ToLower(col->column));
-      }
-      return;
+    auto cmp = storage::ParseCompareOp(expr.op);
+    if (!cmp || *cmp == storage::CompareOp::kNe) return;
+    const sql::Expr& lhs = *expr.args[0];
+    const sql::Expr& rhs = *expr.args[1];
+    const sql::Expr* col = nullptr;
+    if (lhs.kind == sql::Expr::Kind::kColumnRef &&
+        rhs.kind == sql::Expr::Kind::kLiteral) {
+      col = &lhs;
+    } else if (rhs.kind == sql::Expr::Kind::kColumnRef &&
+               lhs.kind == sql::Expr::Kind::kLiteral) {
+      col = &rhs;
+    }
+    if (col != nullptr && schema.Contains(col->column)) {
+      out->insert(ToLower(col->column));
     }
   }
 }

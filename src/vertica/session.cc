@@ -773,8 +773,7 @@ Result<QueryResult> Session::ExecExplain(sim::Process& self,
                 fmt_candidates(jq.right_candidates)));
     return result;
   }
-  if (select.from.empty() ||
-      StartsWith(from, "v_catalog.") || StartsWith(from, "v_monitor.") ||
+  if (select.from.empty() || IsSystemTable(from) ||
       db_->catalog().HasView(select.from)) {
     emit("  projection: n/a (not a base-table scan)");
     return result;
@@ -1458,6 +1457,11 @@ Result<QueryResult> LocalSelect(const std::vector<Row>& rows,
 
 }  // namespace
 
+bool Session::IsSystemTable(const std::string& lower_name) {
+  return StartsWith(lower_name, "v_catalog.") ||
+         StartsWith(lower_name, "v_monitor.");
+}
+
 Result<QueryResult> Session::SystemTable(
     const std::string& lower_name) const {
   QueryResult result;
@@ -1886,7 +1890,7 @@ Result<QueryResult> Session::ExecSelect(sim::Process& self,
   }
 
   // System tables.
-  if (StartsWith(from, "v_catalog.") || StartsWith(from, "v_monitor.")) {
+  if (IsSystemTable(from)) {
     FABRIC_ASSIGN_OR_RETURN(QueryResult base, SystemTable(from));
     FABRIC_ASSIGN_OR_RETURN(QueryResult result,
                             LocalSelect(base.rows, base.schema, select,
@@ -2390,9 +2394,7 @@ Result<std::optional<JoinQueryPlan>> Session::PlanJoinQuery(
   }
   const std::string from = ToLower(select.from);
   const std::string join = ToLower(select.join);
-  if (from == join || StartsWith(from, "v_catalog.") ||
-      StartsWith(from, "v_monitor.") || StartsWith(join, "v_catalog.") ||
-      StartsWith(join, "v_monitor.") ||
+  if (from == join || IsSystemTable(from) || IsSystemTable(join) ||
       db_->catalog().HasView(select.from) ||
       db_->catalog().HasView(select.join)) {
     return none;

@@ -251,7 +251,11 @@ class Session {
   // (INSERT VALUES data).
   Status StreamToClientReverse(sim::Process& self, double wire_bytes);
 
-  // Materializes a system table (v_catalog.*).
+  // True for a lower-cased name in the system schemas (v_catalog.*,
+  // v_monitor.*), which SystemTable serves.
+  static bool IsSystemTable(const std::string& lower_name);
+
+  // Materializes a system table.
   Result<QueryResult> SystemTable(const std::string& lower_name) const;
 
   Database* db_;

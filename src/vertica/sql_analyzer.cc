@@ -93,107 +93,10 @@ unsigned __int128 RingRangeSet::TotalWidth() const {
 
 namespace {
 
-// True when `call` is HASH(c1,...,ck) matching the segmentation columns
-// in order.
-bool IsSegmentationHashCall(const Expr& call,
-                            const std::vector<std::string>& seg_columns) {
-  if (call.kind != Expr::Kind::kCall || call.function != "HASH") {
-    return false;
-  }
-  if (call.args.size() != seg_columns.size()) return false;
-  for (size_t i = 0; i < call.args.size(); ++i) {
-    if (call.args[i]->kind != Expr::Kind::kColumnRef) return false;
-    if (!EqualsIgnoreCase(call.args[i]->column, seg_columns[i])) {
-      return false;
-    }
-  }
-  return true;
-}
-
-// Attempts HASH(...) <op> <integer literal>. The literal is in the signed
-// SQL domain; convert back to the unsigned ring.
-std::optional<RingRangeSet> RangeOfComparison(
-    const Expr& expr, const std::vector<std::string>& seg_columns) {
-  if (expr.kind != Expr::Kind::kBinary) return std::nullopt;
-  const std::string& op = expr.op;
-  if (op != "=" && op != "<" && op != "<=" && op != ">" && op != ">=") {
-    return std::nullopt;
-  }
-  const Expr* call = expr.args[0].get();
-  const Expr* literal = expr.args[1].get();
-  std::string effective_op = op;
-  if (!IsSegmentationHashCall(*call, seg_columns)) {
-    // Allow the reversed form  <literal> <op> HASH(...).
-    std::swap(call, literal);
-    if (!IsSegmentationHashCall(*call, seg_columns)) return std::nullopt;
-    if (effective_op == "<") effective_op = ">";
-    else if (effective_op == "<=") effective_op = ">=";
-    else if (effective_op == ">") effective_op = "<";
-    else if (effective_op == ">=") effective_op = "<=";
-  }
-  // Literal may be a plain integer or a negated one.
-  int64_t signed_bound = 0;
-  if (literal->kind == Expr::Kind::kLiteral && !literal->literal.is_null() &&
-      literal->literal.type() == storage::DataType::kInt64) {
-    signed_bound = literal->literal.int64_value();
-  } else if (literal->kind == Expr::Kind::kUnary && literal->op == "-" &&
-             literal->args[0]->kind == Expr::Kind::kLiteral &&
-             literal->args[0]->literal.type() ==
-                 storage::DataType::kInt64) {
-    // -INT64_MIN overflows: evaluation reports it, so no ring range.
-    if (__builtin_sub_overflow(int64_t{0},
-                               literal->args[0]->literal.int64_value(),
-                               &signed_bound)) {
-      return std::nullopt;
-    }
-  } else {
-    return std::nullopt;
-  }
-  unsigned __int128 ring = SignedToRingHash(signed_bound);
-  if (effective_op == "=") return RingRangeSet::Of(ring, ring + 1);
-  if (effective_op == "<") return RingRangeSet::Of(0, ring);
-  if (effective_op == "<=") return RingRangeSet::Of(0, ring + 1);
-  if (effective_op == ">") {
-    return RingRangeSet::Of(ring + 1,
-                            (static_cast<unsigned __int128>(1)) << 64);
-  }
-  // ">="
-  return RingRangeSet::Of(ring, (static_cast<unsigned __int128>(1)) << 64);
-}
-
-}  // namespace
-
-namespace {
-
 using storage::CompareOp;
 using storage::CompareTerm;
 using storage::HashRangeTerm;
 using storage::NullTestTerm;
-
-std::optional<CompareOp> CompareOpOf(const std::string& op) {
-  if (op == "=") return CompareOp::kEq;
-  if (op == "<>") return CompareOp::kNe;
-  if (op == "<") return CompareOp::kLt;
-  if (op == "<=") return CompareOp::kLe;
-  if (op == ">") return CompareOp::kGt;
-  if (op == ">=") return CompareOp::kGe;
-  return std::nullopt;
-}
-
-CompareOp FlipCompareOp(CompareOp op) {
-  switch (op) {
-    case CompareOp::kLt:
-      return CompareOp::kGt;
-    case CompareOp::kLe:
-      return CompareOp::kGe;
-    case CompareOp::kGt:
-      return CompareOp::kLt;
-    case CompareOp::kGe:
-      return CompareOp::kLe;
-    default:
-      return op;  // = and <> are symmetric
-  }
-}
 
 // Extracts a non-null literal, folding a unary minus over a numeric one.
 std::optional<storage::Value> LiteralOf(const Expr& expr) {
@@ -220,6 +123,72 @@ std::optional<storage::Value> LiteralOf(const Expr& expr) {
   return std::nullopt;
 }
 
+bool IsHashOfColumns(const Expr& expr) {
+  if (expr.kind != Expr::Kind::kCall || expr.function != "HASH" ||
+      expr.args.empty()) {
+    return false;
+  }
+  for (const ExprPtr& arg : expr.args) {
+    if (arg->kind != Expr::Kind::kColumnRef) return false;
+  }
+  return true;
+}
+
+// `HASH(columns...) <op> integer-literal`, in either operand order, with
+// the op flipped into HASH-first form and the literal in the signed SQL
+// domain. `<>` is not a range.
+struct HashComparison {
+  const Expr* call = nullptr;
+  CompareOp op = CompareOp::kEq;
+  int64_t bound = 0;
+};
+
+std::optional<HashComparison> MatchHashComparison(const Expr& expr) {
+  if (expr.kind != Expr::Kind::kBinary) return std::nullopt;
+  auto op = storage::ParseCompareOp(expr.op);
+  if (!op || *op == CompareOp::kNe) return std::nullopt;
+  const Expr* call = expr.args[0].get();
+  const Expr* literal = expr.args[1].get();
+  if (!IsHashOfColumns(*call)) {
+    std::swap(call, literal);
+    if (!IsHashOfColumns(*call)) return std::nullopt;
+    *op = storage::FlipCompareOp(*op);
+  }
+  auto value = LiteralOf(*literal);
+  if (!value || value->type() != storage::DataType::kInt64) {
+    return std::nullopt;
+  }
+  return HashComparison{call, *op, value->int64_value()};
+}
+
+// The ring range of a HASH comparison whose columns are the
+// segmentation columns, in order.
+std::optional<RingRangeSet> RangeOfComparison(
+    const Expr& expr, const std::vector<std::string>& seg_columns) {
+  auto match = MatchHashComparison(expr);
+  if (!match || match->call->args.size() != seg_columns.size()) {
+    return std::nullopt;
+  }
+  for (size_t i = 0; i < seg_columns.size(); ++i) {
+    if (!EqualsIgnoreCase(match->call->args[i]->column, seg_columns[i])) {
+      return std::nullopt;
+    }
+  }
+  const unsigned __int128 ring = SignedToRingHash(match->bound);
+  switch (match->op) {
+    case CompareOp::kEq:
+      return RingRangeSet::Of(ring, ring + 1);
+    case CompareOp::kLt:
+      return RingRangeSet::Of(0, ring);
+    case CompareOp::kLe:
+      return RingRangeSet::Of(0, ring + 1);
+    case CompareOp::kGt:
+      return RingRangeSet::Of(ring + 1, kRingEnd);
+    default:  // >=
+      return RingRangeSet::Of(ring, kRingEnd);
+  }
+}
+
 // Splits an AND tree into conjuncts, left to right.
 void SplitConjuncts(const Expr& expr, std::vector<const Expr*>* out) {
   if (expr.kind == Expr::Kind::kBinary && expr.op == "AND") {
@@ -234,14 +203,14 @@ void SplitConjuncts(const Expr& expr, std::vector<const Expr*>* out) {
 bool CompileCompare(const Expr& expr, const storage::Schema& schema,
                     storage::ScanPredicate* pred) {
   if (expr.kind != Expr::Kind::kBinary) return false;
-  auto op = CompareOpOf(expr.op);
+  auto op = storage::ParseCompareOp(expr.op);
   if (!op) return false;
   const Expr* col = expr.args[0].get();
   const Expr* lit = expr.args[1].get();
   if (col->kind != Expr::Kind::kColumnRef) {
     std::swap(col, lit);
     if (col->kind != Expr::Kind::kColumnRef) return false;
-    *op = FlipCompareOp(*op);
+    *op = storage::FlipCompareOp(*op);
   }
   auto idx = schema.IndexOf(col->column);
   if (!idx.ok()) return false;
@@ -288,39 +257,24 @@ bool CompileNullTest(const Expr& expr, const storage::Schema& schema,
   return true;
 }
 
-// HASH(col, ...) <op> integer literal (either order), folded into the
-// inclusive unsigned ring bounds of a HashRangeTerm. Terms over the same
-// column list merge by bound intersection.
+// A HASH comparison folded into the inclusive unsigned ring bounds of a
+// HashRangeTerm. Terms over the same column list merge by bound
+// intersection.
 bool CompileHashRange(const Expr& expr, const storage::Schema& schema,
                       storage::ScanPredicate* pred) {
-  if (expr.kind != Expr::Kind::kBinary) return false;
-  auto op = CompareOpOf(expr.op);
-  if (!op || *op == CompareOp::kNe) return false;
-  const Expr* call = expr.args[0].get();
-  const Expr* lit = expr.args[1].get();
-  if (call->kind != Expr::Kind::kCall) {
-    std::swap(call, lit);
-    if (call->kind != Expr::Kind::kCall) return false;
-    *op = FlipCompareOp(*op);
-  }
-  if (call->function != "HASH" || call->args.empty()) return false;
+  auto match = MatchHashComparison(expr);
+  if (!match) return false;
   std::vector<int> columns;
-  for (const ExprPtr& arg : call->args) {
-    if (arg->kind != Expr::Kind::kColumnRef) return false;
+  for (const ExprPtr& arg : match->call->args) {
     auto idx = schema.IndexOf(arg->column);
     if (!idx.ok()) return false;
     columns.push_back(*idx);
   }
-  auto literal = LiteralOf(*lit);
-  if (!literal || literal->type() != storage::DataType::kInt64) {
-    return false;
-  }
-  uint64_t ring = SignedToRingHash(literal->int64_value());
-
+  const uint64_t ring = SignedToRingHash(match->bound);
   uint64_t lower = 0;
   uint64_t upper = ~0ull;
   bool empty = false;
-  switch (*op) {
+  switch (match->op) {
     case CompareOp::kEq:
       lower = upper = ring;
       break;
@@ -335,11 +289,9 @@ bool CompileHashRange(const Expr& expr, const storage::Schema& schema,
       if (ring == ~0ull) empty = true;
       else lower = ring + 1;
       break;
-    case CompareOp::kGe:
+    default:  // >=
       lower = ring;
       break;
-    case CompareOp::kNe:
-      return false;
   }
   if (empty) {
     pred->always_false = true;

@@ -58,8 +58,7 @@ DataType InferType(const Expr& expr, const storage::Schema& schema) {
                               : InferType(*expr.args[0], schema);
     case Expr::Kind::kBinary: {
       const std::string& op = expr.op;
-      if (op == "AND" || op == "OR" || op == "=" || op == "<>" ||
-          op == "<" || op == "<=" || op == ">" || op == ">=") {
+      if (op == "AND" || op == "OR" || storage::ParseCompareOp(op)) {
         return DataType::kBool;
       }
       if (op == "||") return DataType::kVarchar;
@@ -208,16 +207,10 @@ Result<Value> EvalBinary(const Expr& expr, const EvalContext& context) {
   FABRIC_ASSIGN_OR_RETURN(Value rhs, Eval(*expr.args[1], context));
 
   // Comparisons: NULL operand => NULL result.
-  if (op == "=" || op == "<>" || op == "<" || op == "<=" || op == ">" ||
-      op == ">=") {
+  if (auto cmp = storage::ParseCompareOp(op)) {
     if (lhs.is_null() || rhs.is_null()) return Value::Null();
     FABRIC_ASSIGN_OR_RETURN(int c, lhs.Compare(rhs));
-    if (op == "=") return Value::Bool(c == 0);
-    if (op == "<>") return Value::Bool(c != 0);
-    if (op == "<") return Value::Bool(c < 0);
-    if (op == "<=") return Value::Bool(c <= 0);
-    if (op == ">") return Value::Bool(c > 0);
-    return Value::Bool(c >= 0);
+    return Value::Bool(storage::ComparePasses(*cmp, c));
   }
 
   if (op == "||") {

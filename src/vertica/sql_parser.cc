@@ -465,15 +465,13 @@ class Parser {
       FABRIC_RETURN_IF_ERROR(Expect("NULL"));
       return Expr::IsNull(std::move(lhs), negated);
     }
-    for (const char* op : {"=", "<>", "!=", "<=", ">=", "<", ">"}) {
-      if (Peek().Is(op)) {
-        Next();
-        FABRIC_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAdditive());
-        std::string norm = (std::string_view(op) == "!=") ? "<>" : op;
-        return Expr::Binary(norm, std::move(lhs), std::move(rhs));
-      }
-    }
-    return std::move(lhs);
+    if (Peek().kind != Token::Kind::kOperator) return std::move(lhs);
+    auto cmp = storage::ParseCompareOp(Peek().text);
+    if (!cmp) return std::move(lhs);
+    Next();
+    FABRIC_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAdditive());
+    return Expr::Binary(storage::CompareOpName(*cmp), std::move(lhs),
+                        std::move(rhs));
   }
 
   Result<ExprPtr> ParseAdditive() {

@@ -1,3 +1,4 @@
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -599,6 +600,53 @@ TEST_F(ConnectorTest, V2STasksSurviveKillsViaRetry) {
     auto loaded = df->Collect(driver);
     ASSERT_TRUE(loaded.ok()) << loaded.status();
     EXPECT_EQ(IdsOf(*loaded), IdsOf(rows));
+  });
+}
+
+// A FLOAT literal SQL cannot spell (+inf, -inf, NaN) must not break a
+// filter on its way to the server: pushed or not, V2S and JDBC loads
+// keep exactly the rows a parallelized DataFrame keeps.
+TEST_F(ConnectorTest, NonFiniteFilterLiteralsMatchTheUnpushedPath) {
+  RunDriver([&](sim::Process& driver) {
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    std::vector<Row> rows = MakeRows(40);
+    int64_t id = 40;
+    for (const Value& score :
+         {Value::Float64(inf), Value::Float64(-inf), Value::Float64(nan),
+          Value::Float64(-0.0), Value::Null()}) {
+      rows.push_back({Value::Int64(id++), score});
+    }
+    ASSERT_TRUE(SaveRows(driver, rows, "t", 4).ok());
+    auto local = session_->CreateDataFrame(TestSchema(), rows, 4);
+    ASSERT_TRUE(local.ok()) << local.status();
+    auto v2s = session_->Read()
+                   .Format(kVerticaSourceName)
+                   .Option("table", "t")
+                   .Option("numpartitions", 4)
+                   .Load(driver);
+    ASSERT_TRUE(v2s.ok()) << v2s.status();
+    auto jdbc = session_->Read()
+                    .Format(baselines::kJdbcSourceName)
+                    .Option("dbtable", "t")
+                    .Load(driver);
+    ASSERT_TRUE(jdbc.ok()) << jdbc.status();
+    for (double literal : {inf, -inf, nan}) {
+      for (ColumnPredicate::Op op :
+           {ColumnPredicate::Op::kEq, ColumnPredicate::Op::kNe,
+            ColumnPredicate::Op::kLt, ColumnPredicate::Op::kLe,
+            ColumnPredicate::Op::kGt, ColumnPredicate::Op::kGe}) {
+        ColumnPredicate pred{"score", op, Value::Float64(literal)};
+        auto expected = local->Filter(pred).Collect(driver);
+        ASSERT_TRUE(expected.ok()) << expected.status();
+        for (const DataFrame* source : {&*v2s, &*jdbc}) {
+          auto got = source->Filter(pred).Collect(driver);
+          ASSERT_TRUE(got.ok()) << pred.ToSqlCondition() << ": "
+                                << got.status();
+          EXPECT_EQ(IdsOf(*got), IdsOf(*expected)) << pred.ToSqlCondition();
+        }
+      }
+    }
   });
 }
 

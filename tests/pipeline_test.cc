@@ -13,6 +13,8 @@
 #include <cstdlib>
 #include <functional>
 #include <limits>
+#include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -29,8 +31,11 @@
 #include "sim/engine.h"
 #include "spark/cluster.h"
 #include "spark/dataframe.h"
+#include "storage/segment_store.h"
 #include "vertica/database.h"
+#include "vertica/pipeline.h"
 #include "vertica/session.h"
+#include "vertica/sql_analyzer.h"
 
 namespace fabric {
 namespace {
@@ -503,6 +508,295 @@ TEST(GroupKeyTest, SignedZeroAndNaNGroupLikeEqualityInSpark) {
   });
   ASSERT_TRUE(engine.Run().ok());
 }
+
+// ------------------------------------------- cross-evaluator agreement
+//
+// `column <op> literal` runs in five evaluators: the scan kernels (behind
+// the analyzer's split into kernel terms and an interpreter residual),
+// compiled programs, the SQL interpreter, Spark's ColumnPredicate::Matches
+// and the fused Spark map stage. Over columns of edge values — NULLs,
+// ±0.0, NaN, ±inf, ±2^53, ±(2^53 + 1), INT64_MIN/MAX, "" and booleans —
+// crossed with every op and literals of every type (and, for the SQL
+// evaluators, both operand orders), each keeps the same rows or raises
+// the same error.
+
+std::vector<Value> EdgeValues(DataType type) {
+  constexpr int64_t k53 = int64_t{1} << 53;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  switch (type) {
+    case DataType::kBool:
+      return {Value::Bool(false), Value::Bool(true)};
+    case DataType::kInt64:
+      return {Value::Int64(0),       Value::Int64(1),
+              Value::Int64(-1),      Value::Int64(k53),
+              Value::Int64(-k53),    Value::Int64(k53 + 1),
+              Value::Int64(-k53 - 1),
+              Value::Int64(std::numeric_limits<int64_t>::min()),
+              Value::Int64(std::numeric_limits<int64_t>::max())};
+    case DataType::kFloat64:
+      return {Value::Float64(0.0),   Value::Float64(-0.0),
+              Value::Float64(0.5),   Value::Float64(1.0),
+              Value::Float64(nan),   Value::Float64(-nan),
+              Value::Float64(inf),   Value::Float64(-inf),
+              Value::Float64(k53),   Value::Float64(-k53),
+              Value::Float64(static_cast<double>(k53) + 2)};
+    case DataType::kVarchar:
+      return {Value::Varchar(""), Value::Varchar("a"), Value::Varchar("ab"),
+              Value::Varchar("b")};
+  }
+  return {};
+}
+
+// Kept ids in ascending order, or the error.
+using Kept = Result<std::vector<int64_t>>;
+
+std::string Render(const Kept& kept) {
+  if (!kept.ok()) return StrCat("error: ", kept.status().message());
+  std::string out = "rows:";
+  for (int64_t id : *kept) out += StrCat(" ", id);
+  return out;
+}
+
+std::vector<int64_t> SortedIds(const std::vector<Row>& rows) {
+  std::vector<int64_t> ids;
+  for (const Row& row : rows) ids.push_back(row[0].int64_value());
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+Kept ByInterpreter(const vertica::sql::Expr& where, const Schema& schema,
+                   const std::vector<Row>& rows) {
+  std::vector<int64_t> ids;
+  for (const Row& row : rows) {
+    vertica::sql::EvalContext context;
+    context.schema = &schema;
+    context.row = &row;
+    FABRIC_ASSIGN_OR_RETURN(bool keep,
+                            vertica::sql::EvalPredicate(where, context));
+    if (keep) ids.push_back(row[0].int64_value());
+  }
+  return ids;
+}
+
+// The compiled filter where the pipeline compiler takes the predicate,
+// the interpreter where it declines or bails (as the executor does).
+Kept ByProgram(const vertica::sql::Expr& where, const Schema& schema,
+               const std::vector<Row>& rows, int* compiled) {
+  auto program = vertica::LowerExpr(where, schema);
+  if (program.has_value() && program->out_type() == DataType::kBool) {
+    std::vector<uint32_t> active(rows.size());
+    std::iota(active.begin(), active.end(), 0);
+    exec::EvalState state;
+    std::vector<uint32_t> keep;
+    if (exec::RunFilter(*program, rows.data(), rows.size(), active, &state,
+                        &keep)) {
+      ++*compiled;
+      std::vector<int64_t> ids;
+      for (uint32_t i : keep) ids.push_back(rows[i][0].int64_value());
+      return ids;
+    }
+  }
+  return ByInterpreter(where, schema, rows);
+}
+
+Kept ByScan(const storage::SegmentStore& store,
+            const vertica::sql::Expr& where) {
+  const Schema& schema = store.schema();
+  vertica::sql::CompiledScan compiled =
+      vertica::sql::CompileScanPredicate(where, schema);
+  std::vector<int> all(schema.num_columns());
+  std::iota(all.begin(), all.end(), 0);
+  storage::ScanSpec spec;
+  spec.as_of = 3;
+  spec.predicate = &compiled.predicate;
+  if (compiled.residual != nullptr) {
+    spec.residual = [&](const Row& row) -> Result<bool> {
+      vertica::sql::EvalContext context;
+      context.schema = &schema;
+      context.row = &row;
+      return vertica::sql::EvalPredicate(*compiled.residual, context);
+    };
+    spec.residual_columns = &all;
+  }
+  storage::ScanStats stats;
+  FABRIC_ASSIGN_OR_RETURN(std::vector<Row> rows, store.Scan(spec, &stats));
+  return SortedIds(rows);
+}
+
+Kept ByMatches(const spark::ColumnPredicate& pred, const Schema& schema,
+               const std::vector<Row>& rows) {
+  std::vector<int64_t> ids;
+  for (const Row& row : rows) {
+    FABRIC_ASSIGN_OR_RETURN(bool keep, pred.Matches(schema, row));
+    if (keep) ids.push_back(row[0].int64_value());
+  }
+  return ids;
+}
+
+// The fused map stage: parallelize → filter → GROUP BY id, one job per
+// predicate. A stage that declines to fuse runs Matches instead.
+std::vector<Kept> ByFusedStage(const Schema& schema,
+                               const std::vector<Row>& rows,
+                               const std::vector<spark::ColumnPredicate>& preds,
+                               double* fused) {
+  sim::Engine engine;
+  net::Network network(&engine);
+  spark::SparkCluster::Options sopts;
+  sopts.num_workers = 2;
+  spark::SparkCluster cluster(&engine, &network, sopts);
+  spark::SparkSession session(&cluster);
+  obs::Tracer tracer([&engine] { return engine.now(); });
+  obs::ScopedTracer install(&tracer);
+  std::vector<Kept> out;
+  engine.Spawn("driver", [&](sim::Process& driver) {
+    auto df = session.CreateDataFrame(schema, rows, 2);
+    ASSERT_TRUE(df.ok()) << df.status();
+    for (const spark::ColumnPredicate& pred : preds) {
+      auto grouped = df->Filter(pred).GroupBy({"id"});
+      ASSERT_TRUE(grouped.ok()) << grouped.status();
+      auto agged = grouped->Agg({spark::AggCount()});
+      ASSERT_TRUE(agged.ok()) << agged.status();
+      auto collected = agged->Collect(driver);
+      if (collected.ok()) {
+        out.push_back(SortedIds(*collected));
+      } else {
+        out.push_back(collected.status());
+      }
+    }
+  });
+  EXPECT_TRUE(engine.Run().ok());
+  *fused = tracer.metrics().counter("spark.fused_map_stages");
+  return out;
+}
+
+class PredicateAgreementTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(PredicateAgreementTest, EveryEvaluatorKeepsTheSameRows) {
+  Rng rng(GetParam());
+  const DataType kTypes[] = {DataType::kBool, DataType::kInt64,
+                             DataType::kFloat64, DataType::kVarchar};
+  std::vector<storage::ColumnDef> defs{{"id", DataType::kInt64}};
+  for (DataType type : kTypes) {
+    defs.push_back({StrCat("c_", ToLower(storage::DataTypeName(type))),
+                    type});
+  }
+  const Schema schema(std::move(defs));
+  std::vector<Row> rows;
+  for (int64_t id = 0; id < 48; ++id) {
+    Row row{Value::Int64(id)};
+    for (DataType type : kTypes) {
+      const std::vector<Value> edges = EdgeValues(type);
+      row.push_back(rng.NextBool(0.15)
+                        ? Value::Null()
+                        : edges[rng.NextUint64(edges.size())]);
+    }
+    rows.push_back(std::move(row));
+  }
+
+  // Three committed ROS containers per forced encoding, so min/max
+  // pruning sees different ranges, and the same rows in the WOS.
+  std::vector<std::unique_ptr<storage::SegmentStore>> stores;
+  for (storage::Encoding encoding :
+       {storage::Encoding::kPlain, storage::Encoding::kRle,
+        storage::Encoding::kDictionary}) {
+    storage::PhysicalDesign design;
+    design.encodings.assign(schema.num_columns(), encoding);
+    auto store = std::make_unique<storage::SegmentStore>(schema, design);
+    for (storage::TxnId txn = 1; txn <= 3; ++txn) {
+      std::vector<Row> part(rows.begin() + (txn - 1) * 16,
+                            rows.begin() + txn * 16);
+      ASSERT_TRUE(store->InsertPendingDirect(txn, std::move(part)).ok());
+      store->CommitTxn(txn, txn);
+    }
+    stores.push_back(std::move(store));
+  }
+  auto wos = std::make_unique<storage::SegmentStore>(schema);
+  ASSERT_TRUE(wos->InsertPending(1, rows).ok());
+  wos->CommitTxn(1, 1);
+  stores.push_back(std::move(wos));
+
+  std::vector<spark::ColumnPredicate> preds;
+  for (DataType column_type : kTypes) {
+    const std::string column =
+        StrCat("c_", ToLower(storage::DataTypeName(column_type)));
+    preds.push_back({column, spark::ColumnPredicate::Op::kIsNull, Value()});
+    preds.push_back({column, spark::ColumnPredicate::Op::kIsNotNull, Value()});
+    for (spark::ColumnPredicate::Op op :
+         {spark::ColumnPredicate::Op::kEq, spark::ColumnPredicate::Op::kNe,
+          spark::ColumnPredicate::Op::kLt, spark::ColumnPredicate::Op::kLe,
+          spark::ColumnPredicate::Op::kGt, spark::ColumnPredicate::Op::kGe}) {
+      preds.push_back({column, op, Value::Null()});
+      for (DataType literal_type : kTypes) {
+        for (const Value& literal : EdgeValues(literal_type)) {
+          preds.push_back({column, op, literal});
+        }
+      }
+    }
+  }
+
+  double fused = 0;
+  const std::vector<Kept> by_fused = ByFusedStage(schema, rows, preds, &fused);
+  ASSERT_EQ(by_fused.size(), preds.size());
+  int compiled = 0;
+  for (size_t k = 0; k < preds.size(); ++k) {
+    const spark::ColumnPredicate& pred = preds[k];
+    vertica::sql::ExprPtr where =
+        storage::IsNullTest(pred.op)
+            ? vertica::sql::Expr::IsNull(
+                  vertica::sql::Expr::ColumnRef(pred.column),
+                  pred.op == spark::ColumnPredicate::Op::kIsNotNull)
+            : vertica::sql::Expr::Binary(
+                  storage::CompareOpName(pred.op),
+                  vertica::sql::Expr::ColumnRef(pred.column),
+                  vertica::sql::Expr::Literal(pred.literal));
+    const Kept expected = ByInterpreter(*where, schema, rows);
+    SCOPED_TRACE(StrCat(pred.ToSqlCondition(), " literal type ",
+                        pred.literal.is_null()
+                            ? "NULL"
+                            : storage::DataTypeName(pred.literal.type()),
+                        " expected ", Render(expected)));
+    EXPECT_EQ(Render(ByProgram(*where, schema, rows, &compiled)),
+              Render(expected));
+    for (const auto& store : stores) {
+      EXPECT_EQ(Render(ByScan(*store, *where)), Render(expected));
+    }
+    EXPECT_EQ(Render(ByMatches(pred, schema, rows)), Render(expected));
+    if (!storage::IsNullTest(pred.op)) {
+      // `literal <flipped op> column` keeps the same rows; its error, if
+      // any, names the operand types in the written order.
+      vertica::sql::ExprPtr flipped = vertica::sql::Expr::Binary(
+          storage::CompareOpName(storage::FlipCompareOp(pred.op)),
+          vertica::sql::Expr::Literal(pred.literal),
+          vertica::sql::Expr::ColumnRef(pred.column));
+      const Kept flipped_expected = ByInterpreter(*flipped, schema, rows);
+      EXPECT_EQ(flipped_expected.ok(), expected.ok());
+      if (expected.ok() && flipped_expected.ok()) {
+        EXPECT_EQ(*flipped_expected, *expected);
+      }
+      EXPECT_EQ(Render(ByProgram(*flipped, schema, rows, &compiled)),
+                Render(flipped_expected));
+      for (const auto& store : stores) {
+        EXPECT_EQ(Render(ByScan(*store, *flipped)), Render(flipped_expected));
+      }
+    }
+    // A failed Spark job reports the task's error after its retries.
+    if (expected.ok() || by_fused[k].ok()) {
+      EXPECT_EQ(Render(by_fused[k]), Render(expected));
+    } else {
+      EXPECT_NE(by_fused[k].status().message().find(
+                    std::string(expected.status().message())),
+                std::string::npos)
+          << by_fused[k].status();
+    }
+  }
+  // Both compiled paths really ran: most comparisons type-check.
+  EXPECT_GT(compiled, static_cast<int>(preds.size()) / 2);
+  EXPECT_GT(fused, preds.size() / 2.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PredicateAgreementTest,
+                         ::testing::ValuesIn(PropertySeeds()));
 
 // ------------------------------------------------------------- counters
 
