@@ -72,10 +72,6 @@ struct CostModel {
   double copy_parse_cpu_per_byte = 1.2e-7;
   double copy_parse_cpu_per_row = 1.5e-6;
   double copy_parse_cpu_per_field = 0.1e-6;
-  // Per-COPY-connection ingest serialization (mirror of the result
-  // stream; COPY is faster than the query path per byte).
-  double copy_stream_bytes_per_sec = 60e6;
-  double copy_stream_row_overhead = 2.0e-6;
 
   // ------------------------------------------------------- Spark side
   double task_launch_overhead = 0.03;   // scheduler dispatch + deserialize

@@ -126,6 +126,19 @@ bool Catalog::HasView(const std::string& name) const {
   return views_.count(ToLower(name)) > 0;
 }
 
+std::vector<storage::Row> ProjectionDef::Project(
+    const std::vector<storage::Row>& anchor_rows) const {
+  std::vector<storage::Row> out;
+  out.reserve(anchor_rows.size());
+  for (const storage::Row& row : anchor_rows) {
+    storage::Row prow;
+    prow.reserve(columns.size());
+    for (int c : columns) prow.push_back(row[c]);
+    out.push_back(std::move(prow));
+  }
+  return out;
+}
+
 Status Catalog::CreateProjection(ProjectionDef def) {
   std::string key = ToLower(def.name);
   if (projections_.count(key) > 0 || tables_.count(key) > 0 ||

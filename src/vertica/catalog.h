@@ -91,6 +91,10 @@ struct ProjectionDef {
   storage::PhysicalDesign Design() const {
     return storage::PhysicalDesign{sort_columns, encodings};
   }
+  // The projection's image of anchor-width rows: each row's `columns`,
+  // in declared order.
+  std::vector<storage::Row> Project(
+      const std::vector<storage::Row>& anchor_rows) const;
 };
 
 // Named metadata for every table and view in the database. Storage lives

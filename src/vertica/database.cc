@@ -342,20 +342,83 @@ Status Database::RenameTableWithStorage(const std::string& from,
   return Status::OK();
 }
 
-int Database::OwnerNode(const TableDef& def,
+int Database::OwnerNode(const Segmentation& segmentation,
                         const storage::Row& row) const {
-  if (def.segmentation.unsegmented()) return -1;
-  uint64_t h =
-      storage::RowSegmentationHash(row, def.segmentation.columns);
+  if (segmentation.unsegmented()) return -1;
+  uint64_t h = storage::RowSegmentationHash(row, segmentation.columns);
   return RingSegmentOf(h, num_nodes());
 }
 
-int Database::OwnerNode(const ProjectionDef& def,
-                        const storage::Row& row) const {
-  if (def.segmentation.unsegmented()) return -1;
-  uint64_t h =
-      storage::RowSegmentationHash(row, def.segmentation.columns);
-  return RingSegmentOf(h, num_nodes());
+std::vector<std::vector<storage::Row>> Database::RouteRows(
+    const Segmentation& segmentation,
+    std::vector<storage::Row> rows) const {
+  std::vector<std::vector<storage::Row>> per_segment(num_nodes());
+  if (segmentation.unsegmented()) {
+    for (int n = 0; n + 1 < num_nodes(); ++n) per_segment[n] = rows;
+    per_segment.back() = std::move(rows);
+    return per_segment;
+  }
+  for (storage::Row& row : rows) {
+    per_segment[OwnerNode(segmentation, row)].push_back(std::move(row));
+  }
+  return per_segment;
+}
+
+Result<std::vector<Database::SegmentCopy>> Database::LiveCopies(
+    SegmentSet* set, const Segmentation& segmentation, int n) const {
+  if (!segmentation.unsegmented()) return WriteCopies(set, n);
+  std::vector<SegmentCopy> copies;
+  if (node_up(n)) copies.push_back(SegmentCopy{set->per_node[n].get(), n});
+  return copies;
+}
+
+Status Database::WriteSegments(sim::Process& self, SegmentSet* set,
+                               const Segmentation& segmentation,
+                               const std::string& table,
+                               std::vector<storage::Row> rows,
+                               storage::TxnId txn, int source_host,
+                               double scale, bool direct,
+                               LoadCpu load_cpu) {
+  const CostModel& cost = options_.cost;
+  std::vector<std::vector<storage::Row>> per_segment =
+      RouteRows(segmentation, std::move(rows));
+  for (int n = 0; n < num_nodes(); ++n) {
+    if (per_segment[n].empty()) continue;
+    // Copies on non-UP nodes are skipped here and caught up by recovery.
+    FABRIC_ASSIGN_OR_RETURN(std::vector<SegmentCopy> copies,
+                            LiveCopies(set, segmentation, n));
+    storage::DataProfile profile = storage::ProfileRows(per_segment[n]);
+    profile.ScaleBy(scale);
+    const double load = load_cpu == LoadCpu::kParse
+                            ? profile.CopyParseCpu(cost)
+                            : profile.raw_bytes * cost.scan_cpu_per_byte;
+    for (size_t c = 0; c < copies.size(); ++c) {
+      const SegmentCopy& copy = copies[c];
+      if (copy.host != source_host) {
+        FABRIC_RETURN_IF_ERROR(network_->Transfer(
+            self,
+            {hosts_[source_host].int_egress, hosts_[copy.host].int_ingress},
+            profile.raw_bytes));
+      }
+      FABRIC_RETURN_IF_ERROR(
+          net::RunCpu(self, network_, hosts_[copy.host], load));
+      std::vector<storage::Row> batch = c + 1 < copies.size()
+                                            ? per_segment[n]
+                                            : std::move(per_segment[n]);
+      if (direct) {
+        FABRIC_RETURN_IF_ERROR(
+            copy.store->InsertPendingDirect(txn, std::move(batch)));
+      } else {
+        // WOS backpressure: stall admission while this store's committed
+        // WOS batches sit at the Tuple Mover's hard cap.
+        FABRIC_RETURN_IF_ERROR(
+            tm_->AdmitWos(self, table, copy.store, copy.host));
+        FABRIC_RETURN_IF_ERROR(
+            copy.store->InsertPending(txn, std::move(batch)));
+      }
+    }
+  }
+  return Status::OK();
 }
 
 Status Database::WriteProjectionRows(sim::Process& self,
@@ -364,71 +427,30 @@ Status Database::WriteProjectionRows(sim::Process& self,
                                      storage::TxnId txn, int source_host,
                                      bool direct, double scale) {
   if (rows.empty()) return Status::OK();
-  std::vector<const ProjectionDef*> projs =
-      catalog_.ProjectionsOf(def.name);
-  if (projs.empty()) return Status::OK();
-  auto storage_it = storage_.find(ToLower(def.name));
-  FABRIC_CHECK(storage_it != storage_.end()) << "anchor storage missing";
-  for (const ProjectionDef* proj : projs) {
-    auto set_it = storage_it->second.projections.find(ToLower(proj->name));
-    FABRIC_CHECK(set_it != storage_it->second.projections.end())
-        << "projection storage missing for " << proj->name;
-    SegmentSet& set = set_it->second;
-    // Project anchor-width rows to the projection's column subset and
-    // route them by the projection's own segmentation.
-    std::vector<std::vector<storage::Row>> per_node(num_nodes());
-    for (const storage::Row& row : rows) {
-      storage::Row prow;
-      prow.reserve(proj->columns.size());
-      for (int c : proj->columns) prow.push_back(row[c]);
-      int owner = OwnerNode(*proj, prow);
-      if (owner < 0) {
-        for (int n = 0; n < num_nodes(); ++n) per_node[n].push_back(prow);
-      } else {
-        per_node[owner].push_back(std::move(prow));
-      }
-    }
-    bool replicated = proj->segmentation.unsegmented();
-    for (int n = 0; n < num_nodes(); ++n) {
-      if (per_node[n].empty()) continue;
-      std::vector<SegmentCopy> copies;
-      if (replicated) {
-        if (!node_up(n)) continue;
-        copies.push_back(SegmentCopy{set.per_node[n].get(), n});
-      } else {
-        FABRIC_ASSIGN_OR_RETURN(copies, WriteCopies(&set, n));
-      }
-      double raw_bytes =
-          storage::ProfileRows(per_node[n]).raw_bytes * scale;
-      for (size_t c = 0; c < copies.size(); ++c) {
-        const SegmentCopy& copy = copies[c];
-        if (copy.host != source_host) {
-          FABRIC_RETURN_IF_ERROR(network_->Transfer(
-              self,
-              {hosts_[source_host].int_egress,
-               hosts_[copy.host].int_ingress},
-              raw_bytes));
-        }
-        // Re-sorting and re-encoding into the projection's design.
-        FABRIC_RETURN_IF_ERROR(
-            net::RunCpu(self, network_, hosts_[copy.host],
-                        raw_bytes * options_.cost.scan_cpu_per_byte));
-        std::vector<storage::Row> batch = c + 1 < copies.size()
-                                              ? per_node[n]
-                                              : std::move(per_node[n]);
-        if (direct) {
-          FABRIC_RETURN_IF_ERROR(
-              copy.store->InsertPendingDirect(txn, std::move(batch)));
-        } else {
-          FABRIC_RETURN_IF_ERROR(
-              tm_->AdmitWos(self, def.name, copy.store, copy.host));
-          FABRIC_RETURN_IF_ERROR(
-              copy.store->InsertPending(txn, std::move(batch)));
-        }
-      }
-    }
+  for (const ProjectionDef* proj : catalog_.ProjectionsOf(def.name)) {
+    FABRIC_ASSIGN_OR_RETURN(SegmentSet * set,
+                            GetProjectionStorage(proj->name));
+    FABRIC_RETURN_IF_ERROR(WriteSegments(
+        self, set, proj->segmentation, def.name, proj->Project(rows), txn,
+        source_host, scale, direct, LoadCpu::kSortEncode));
   }
   return Status::OK();
+}
+
+Result<int64_t> Database::MarkCopies(const std::vector<SegmentCopy>& copies,
+                                     std::vector<storage::Row>* victims,
+                                     const MarkFn& mark) {
+  int64_t marked = 0;
+  for (size_t c = 0; c < copies.size(); ++c) {
+    FABRIC_ASSIGN_OR_RETURN(int64_t m,
+                            mark(copies[c], c == 0 ? victims : nullptr));
+    if (c == 0) {
+      marked = m;
+    } else {
+      FABRIC_CHECK(m == marked) << "buddy copies diverged";
+    }
+  }
+  return marked;
 }
 
 Status Database::DeleteProjectionRows(
@@ -436,62 +458,31 @@ Status Database::DeleteProjectionRows(
     const std::vector<storage::Row>& victims, storage::TxnId txn,
     storage::Epoch as_of, double scale) {
   if (victims.empty()) return Status::OK();
-  std::vector<const ProjectionDef*> projs =
-      catalog_.ProjectionsOf(def.name);
-  if (projs.empty()) return Status::OK();
-  auto storage_it = storage_.find(ToLower(def.name));
-  FABRIC_CHECK(storage_it != storage_.end()) << "anchor storage missing";
-  for (const ProjectionDef* proj : projs) {
-    auto set_it = storage_it->second.projections.find(ToLower(proj->name));
-    FABRIC_CHECK(set_it != storage_it->second.projections.end())
-        << "projection storage missing for " << proj->name;
-    SegmentSet& set = set_it->second;
-    std::vector<std::vector<storage::Row>> per_node(num_nodes());
-    std::vector<storage::Row> all_projected;  // replicated layouts
-    bool replicated = proj->segmentation.unsegmented();
-    for (const storage::Row& row : victims) {
-      storage::Row prow;
-      prow.reserve(proj->columns.size());
-      for (int c : proj->columns) prow.push_back(row[c]);
-      if (replicated) {
-        all_projected.push_back(std::move(prow));
-      } else {
-        per_node[OwnerNode(*proj, prow)].push_back(std::move(prow));
-      }
-    }
-    if (replicated) {
-      double raw_bytes =
-          storage::ProfileRows(all_projected).raw_bytes * scale;
-      for (int n = 0; n < num_nodes(); ++n) {
-        if (!node_up(n)) continue;
-        FABRIC_RETURN_IF_ERROR(
-            net::RunCpu(self, network_, hosts_[n],
-                        raw_bytes * options_.cost.scan_cpu_per_byte));
-        FABRIC_ASSIGN_OR_RETURN(
-            int64_t marked, set.per_node[n]->MarkDeletedPendingByContent(
-                                txn, as_of, all_projected));
-        FABRIC_CHECK(marked ==
-                     static_cast<int64_t>(all_projected.size()))
-            << "projection " << proj->name << " missing delete victims";
-      }
-      continue;
-    }
+  for (const ProjectionDef* proj : catalog_.ProjectionsOf(def.name)) {
+    FABRIC_ASSIGN_OR_RETURN(SegmentSet * set,
+                            GetProjectionStorage(proj->name));
+    std::vector<std::vector<storage::Row>> per_segment =
+        RouteRows(proj->segmentation, proj->Project(victims));
     for (int n = 0; n < num_nodes(); ++n) {
-      if (per_node[n].empty()) continue;
+      const std::vector<storage::Row>& group = per_segment[n];
+      if (group.empty()) continue;
       FABRIC_ASSIGN_OR_RETURN(std::vector<SegmentCopy> copies,
-                              WriteCopies(&set, n));
-      double raw_bytes =
-          storage::ProfileRows(per_node[n]).raw_bytes * scale;
-      for (const SegmentCopy& copy : copies) {
-        FABRIC_RETURN_IF_ERROR(
-            net::RunCpu(self, network_, hosts_[copy.host],
-                        raw_bytes * options_.cost.scan_cpu_per_byte));
-        FABRIC_ASSIGN_OR_RETURN(
-            int64_t marked, copy.store->MarkDeletedPendingByContent(
-                                txn, as_of, per_node[n]));
-        FABRIC_CHECK(marked == static_cast<int64_t>(per_node[n].size()))
-            << "projection " << proj->name << " missing delete victims";
-      }
+                              LiveCopies(set, proj->segmentation, n));
+      double raw_bytes = storage::ProfileRows(group).raw_bytes * scale;
+      FABRIC_ASSIGN_OR_RETURN(
+          int64_t marked,
+          MarkCopies(copies, nullptr,
+                     [&](const SegmentCopy& copy,
+                         std::vector<storage::Row>*) -> Result<int64_t> {
+                       FABRIC_RETURN_IF_ERROR(net::RunCpu(
+                           self, network_, hosts_[copy.host],
+                           raw_bytes * options_.cost.scan_cpu_per_byte));
+                       return copy.store->MarkDeletedPendingByContent(
+                           txn, as_of, group);
+                     }));
+      FABRIC_CHECK(copies.empty() ||
+                   marked == static_cast<int64_t>(group.size()))
+          << "projection " << proj->name << " missing delete victims";
     }
   }
   return Status::OK();

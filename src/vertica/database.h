@@ -262,16 +262,35 @@ class Database {
   Status CreateProjectionWithStorage(ProjectionDef def);
   Status DropProjectionWithStorage(const std::string& name);
 
-  // Node owning `row` of `table` (-1 for unsegmented: all nodes hold it).
-  int OwnerNode(const TableDef& def, const storage::Row& row) const;
-  // Same, for a projection-local row under the projection's segmentation.
-  int OwnerNode(const ProjectionDef& def, const storage::Row& row) const;
+  // Node owning `row` under `segmentation` (-1 for unsegmented: all
+  // nodes hold it).
+  int OwnerNode(const Segmentation& segmentation,
+                const storage::Row& row) const;
 
-  // Projection maintenance for the write paths (INSERT / COPY / UPDATE
-  // reinsertion): projects `rows` (anchor-width) through every projection
-  // of `def`, routes by each projection's own segmentation and inserts
-  // into every live copy under `txn`, charging transfers from
-  // `source_host` and per-byte load CPU on the writing hosts.
+  // How a write charges load CPU on each copy's host.
+  enum class LoadCpu {
+    kParse,       // CopyParseCpu of the scaled rows (INSERT)
+    kSortEncode,  // raw bytes x scan_cpu_per_byte (COPY, projections)
+  };
+
+  // The one segment-write path, used by INSERT, COPY, CREATE PROJECTION's
+  // populate and projection maintenance. Routes `rows` (laid out for
+  // `set`) by `segmentation` and writes each segment's rows to every live
+  // copy: each UP replica of an unsegmented layout, primary and buddy of
+  // a segmented one (UNAVAILABLE when both are down). Per copy, in order:
+  // transfer from `source_host`, load CPU on the copy's host, then the
+  // WOS gate (TupleMover::AdmitWos for `table`) and InsertPending, or
+  // InsertPendingDirect when `direct`.
+  Status WriteSegments(sim::Process& self, SegmentSet* set,
+                       const Segmentation& segmentation,
+                       const std::string& table,
+                       std::vector<storage::Row> rows, storage::TxnId txn,
+                       int source_host, double scale, bool direct,
+                       LoadCpu load_cpu);
+
+  // Projection maintenance for INSERT, COPY and UPDATE: projects `rows`
+  // (anchor-width) through every projection of `def` and writes each
+  // image through WriteSegments under the projection's own segmentation.
   Status WriteProjectionRows(sim::Process& self, const TableDef& def,
                              const std::vector<storage::Row>& rows,
                              storage::TxnId txn, int source_host,
@@ -284,6 +303,17 @@ class Database {
                               const std::vector<storage::Row>& victims,
                               storage::TxnId txn, storage::Epoch as_of,
                               double scale);
+
+  // The shared delete-mark step: runs `mark` on each of `copies` (the
+  // live copies of one segment) in order and checks that every copy
+  // marked as many rows as the first. `mark` receives `victims` on the
+  // first copy and nullptr after it, so the marked rows are captured
+  // once. Returns the first copy's count (0 when `copies` is empty).
+  using MarkFn = std::function<Result<int64_t>(
+      const SegmentCopy& copy, std::vector<storage::Row>* capture)>;
+  static Result<int64_t> MarkCopies(const std::vector<SegmentCopy>& copies,
+                                    std::vector<storage::Row>* victims,
+                                    const MarkFn& mark);
 
   // ------------------------------------------------- transactions/locks
   storage::TxnId BeginTxnInternal();
@@ -400,6 +430,17 @@ class Database {
   PipelineCompiler pipeline_compiler_;
   std::vector<int> active_sessions_;
   std::unique_ptr<wm::WorkloadManager> wm_;
+
+  // `rows` grouped by the segment that stores them under `segmentation`;
+  // for an unsegmented layout every node's group holds every row.
+  std::vector<std::vector<storage::Row>> RouteRows(
+      const Segmentation& segmentation,
+      std::vector<storage::Row> rows) const;
+  // The copies a write of segment `n` must reach: the replica on node n
+  // while it is UP (none otherwise) for an unsegmented layout, and
+  // WriteCopies for a segmented one.
+  Result<std::vector<SegmentCopy>> LiveCopies(
+      SegmentSet* set, const Segmentation& segmentation, int n) const;
 
   // ----------------------------------------------------------- k-safety
   // Recovery catch-up for `node`, run as a spawned process. `incarnation`

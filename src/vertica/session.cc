@@ -56,10 +56,6 @@ Status CollectColumns(const sql::Expr& expr, const Schema& schema,
 // Result-schema helpers shared with the pipeline compiler.
 using sql::InferType;
 
-std::string ItemName(const sql::SelectItem& item, int position) {
-  return sql::SelectItemName(item, position);
-}
-
 // Applies ORDER BY / LIMIT to a materialized result (by output column
 // names).
 Status ApplyOrderAndLimit(const sql::SelectStmt& select,
@@ -631,65 +627,19 @@ Result<QueryResult> Session::ExecCreateProjection(
       }
     }
 
-    std::vector<Row> proj_rows;
-    proj_rows.reserve(anchor_rows.size());
-    for (const Row& row : anchor_rows) {
-      Row prow;
-      prow.reserve(proj.columns.size());
-      for (int c : proj.columns) prow.push_back(row[c]);
-      proj_rows.push_back(std::move(prow));
-    }
+    std::vector<Row> proj_rows = proj.Project(anchor_rows);
     proj.encodings = projections::ChooseEncodings(
         proj.schema, proj.sort_columns, proj_rows);
     FABRIC_RETURN_IF_ERROR(db_->CreateProjectionWithStorage(proj));
     created = true;
 
+    // Sort + encode into the projection's physical design.
     FABRIC_ASSIGN_OR_RETURN(Database::SegmentSet * set,
                             db_->GetProjectionStorage(proj.name));
-    std::vector<std::vector<Row>> per_node(db_->num_nodes());
-    bool replicated = proj.segmentation.unsegmented();
-    for (Row& prow : proj_rows) {
-      int owner = db_->OwnerNode(proj, prow);
-      if (owner < 0) {
-        for (int n = 0; n < db_->num_nodes(); ++n) {
-          per_node[n].push_back(prow);
-        }
-      } else {
-        per_node[owner].push_back(std::move(prow));
-      }
-    }
-    for (int n = 0; n < db_->num_nodes(); ++n) {
-      if (per_node[n].empty()) continue;
-      std::vector<Database::SegmentCopy> copies;
-      if (replicated) {
-        if (!db_->node_up(n)) continue;
-        copies.push_back(
-            Database::SegmentCopy{set->per_node[n].get(), n});
-      } else {
-        FABRIC_ASSIGN_OR_RETURN(copies, db_->WriteCopies(set, n));
-      }
-      double raw_bytes = ProfileRows(per_node[n]).raw_bytes * scale;
-      for (size_t c = 0; c < copies.size(); ++c) {
-        const Database::SegmentCopy& copy = copies[c];
-        if (copy.host != node_) {
-          FABRIC_RETURN_IF_ERROR(db_->network()->Transfer(
-              self,
-              {db_->node_host(node_).int_egress,
-               db_->node_host(copy.host).int_ingress},
-              raw_bytes));
-        }
-        // Sort + encode into the projection's physical design.
-        FABRIC_RETURN_IF_ERROR(net::RunCpu(
-            self, db_->network(), db_->node_host(copy.host),
-            raw_bytes * cost.scan_cpu_per_byte));
-        std::vector<Row> batch = c + 1 < copies.size()
-                                     ? per_node[n]
-                                     : std::move(per_node[n]);
-        FABRIC_RETURN_IF_ERROR(
-            copy.store->InsertPendingDirect(txn, std::move(batch)));
-      }
-    }
-    return Status::OK();
+    return db_->WriteSegments(self, set, proj.segmentation, def->name,
+                              std::move(proj_rows), txn, node_, scale,
+                              /*direct=*/true,
+                              Database::LoadCpu::kSortEncode);
   }();
   if (!status.ok()) {
     db_->AbortTxnInternal(txn);
@@ -785,25 +735,16 @@ Result<QueryResult> Session::ExecExplain(sim::Process& self,
   std::vector<std::pair<std::string, double>> candidates;
   projections::PlanChoice plan =
       projections::ChoosePlan(db_->catalog(), *def, shape, &candidates);
-  char cost_buf[32];
-  std::snprintf(cost_buf, sizeof(cost_buf), "%.4f", plan.cost);
   emit(StrCat("  projection: ",
               plan.projection == nullptr ? std::string("super")
                                          : plan.projection->name,
-              " (cost=", cost_buf, ")"));
+              " (cost=", fmt_cost(plan.cost), ")"));
   emit(StrCat("  reason: ", plan.reason));
   if (shape.aggregate && !shape.group_by.empty()) {
     emit(StrCat("  group-by strategy: ",
                 plan.sorted_group_by ? "merge (sorted)" : "hash"));
   }
-  std::string cands;
-  for (const auto& [cand_name, cand_cost] : candidates) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.4f", cand_cost);
-    if (!cands.empty()) cands += ", ";
-    cands += StrCat(cand_name, "=", buf);
-  }
-  emit(StrCat("  candidates: ", cands));
+  emit(StrCat("  candidates: ", fmt_candidates(candidates)));
   return result;
 }
 
@@ -962,62 +903,10 @@ Result<QueryResult> Session::ExecInsert(sim::Process& self,
                                                    profile.JdbcWireBytes(cost)));
     }
 
-    // Route rows to their owner nodes.
-    std::vector<std::vector<Row>> per_node(db_->num_nodes());
-    for (const Row& row : rows) {
-      int owner = db_->OwnerNode(*def, row);
-      if (owner < 0) {
-        for (int n = 0; n < db_->num_nodes(); ++n) {
-          per_node[n].push_back(row);
-        }
-      } else {
-        per_node[owner].push_back(row);
-      }
-    }
-    bool replicated = def->segmentation.unsegmented();
-    for (int n = 0; n < db_->num_nodes(); ++n) {
-      if (per_node[n].empty()) continue;
-      // Every live copy of the segment takes the rows: replicated tables
-      // write each UP replica, segmented tables write the primary and the
-      // buddy (whichever are UP); DOWN copies catch up during recovery.
-      std::vector<Database::SegmentCopy> copies;
-      if (replicated) {
-        if (!db_->node_up(n)) continue;
-        copies.push_back(
-            Database::SegmentCopy{storage->per_node[n].get(), n});
-      } else {
-        FABRIC_ASSIGN_OR_RETURN(copies, db_->WriteCopies(storage, n));
-      }
-      DataProfile node_profile = ProfileRows(per_node[n]);
-      node_profile.ScaleBy(scale);
-      for (size_t c = 0; c < copies.size(); ++c) {
-        const Database::SegmentCopy& copy = copies[c];
-        if (copy.host != node_) {
-          FABRIC_RETURN_IF_ERROR(db_->network()->Transfer(
-              self,
-              {db_->node_host(node_).int_egress,
-               db_->node_host(copy.host).int_ingress},
-              node_profile.raw_bytes));
-        }
-        FABRIC_RETURN_IF_ERROR(
-            net::RunCpu(self, db_->network(), db_->node_host(copy.host),
-                        node_profile.CopyParseCpu(cost)));
-        std::vector<Row> batch = c + 1 < copies.size()
-                                     ? per_node[n]
-                                     : std::move(per_node[n]);
-        if (stmt.direct) {
-          FABRIC_RETURN_IF_ERROR(
-              copy.store->InsertPendingDirect(wt.txn, std::move(batch)));
-        } else {
-          // WOS backpressure: stall admission while this store's
-          // committed WOS batches sit at the Tuple Mover's hard cap.
-          FABRIC_RETURN_IF_ERROR(db_->tuple_mover()->AdmitWos(
-              self, def->name, copy.store, copy.host));
-          FABRIC_RETURN_IF_ERROR(
-              copy.store->InsertPending(wt.txn, std::move(batch)));
-        }
-      }
-    }
+    // Route rows to their owner segments and write every live copy.
+    FABRIC_RETURN_IF_ERROR(db_->WriteSegments(
+        self, storage, def->segmentation, def->name, rows, wt.txn, node_,
+        scale, stmt.direct, Database::LoadCpu::kParse));
     // Maintain every projection of the table in the same transaction.
     return db_->WriteProjectionRows(self, *def, rows, wt.txn, node_,
                                     stmt.direct, scale);
@@ -1114,48 +1003,39 @@ Result<QueryResult> Session::ExecUpdate(sim::Process& self,
       }
       // Same selection pipeline as the Scan above, so every copy picks
       // exactly the same rows.
+      std::vector<Database::SegmentCopy> writes = {read_copy};
+      if (!replicated) {
+        FABRIC_ASSIGN_OR_RETURN(writes, db_->WriteCopies(storage, n));
+      }
+      FABRIC_ASSIGN_OR_RETURN(
+          int64_t deleted,
+          Database::MarkCopies(writes, nullptr,
+                               [&spec](const Database::SegmentCopy& copy,
+                                       std::vector<Row>* capture) {
+                                 return copy.store->MarkDeletedPending(
+                                     spec, capture);
+                               }));
+      FABRIC_CHECK(deleted == static_cast<int64_t>(replacements.size()));
+      // Count each logical row once: every segment, but only the first
+      // replica that is actually UP (node 0's replica may be down).
+      if (!replicated || !counted_replicated) {
+        affected += deleted;
+        counted_replicated = true;
+        all_victims.insert(all_victims.end(), matched.begin(),
+                           matched.end());
+        all_replacements.insert(all_replacements.end(),
+                                replacements.begin(), replacements.end());
+      }
       if (replicated) {
-        FABRIC_ASSIGN_OR_RETURN(
-            int64_t deleted, read_copy.store->MarkDeletedPending(spec));
-        FABRIC_CHECK(deleted == static_cast<int64_t>(replacements.size()));
-        // Count each logical row once, from the first replica that is
-        // actually UP (node 0's replica may be down).
-        if (!counted_replicated) {
-          affected += deleted;
-          counted_replicated = true;
-          all_victims.insert(all_victims.end(), matched.begin(),
-                             matched.end());
-          all_replacements.insert(all_replacements.end(),
-                                  replacements.begin(),
-                                  replacements.end());
-        }
         if (!replacements.empty()) {
           FABRIC_RETURN_IF_ERROR(read_copy.store->InsertPending(
               wt.txn, std::move(replacements)));
         }
       } else {
-        FABRIC_ASSIGN_OR_RETURN(std::vector<Database::SegmentCopy> writes,
-                                db_->WriteCopies(storage, n));
-        int64_t deleted = -1;
-        for (const Database::SegmentCopy& copy : writes) {
-          FABRIC_ASSIGN_OR_RETURN(int64_t d,
-                                  copy.store->MarkDeletedPending(spec));
-          if (deleted < 0) {
-            deleted = d;
-          } else {
-            FABRIC_CHECK(d == deleted) << "buddy copies diverged";
-          }
-        }
-        FABRIC_CHECK(deleted == static_cast<int64_t>(replacements.size()));
-        affected += deleted;
-        all_victims.insert(all_victims.end(), matched.begin(),
-                           matched.end());
-        all_replacements.insert(all_replacements.end(),
-                                replacements.begin(), replacements.end());
         // Re-route new versions by the (possibly changed) segmentation
         // hash, into every live copy of the owning segment.
         for (Row& row : replacements) {
-          int owner = db_->OwnerNode(*def, row);
+          int owner = db_->OwnerNode(def->segmentation, row);
           FABRIC_ASSIGN_OR_RETURN(
               std::vector<Database::SegmentCopy> owner_writes,
               db_->WriteCopies(storage, owner));
@@ -1233,57 +1113,43 @@ Result<QueryResult> Session::ExecDelete(sim::Process& self,
     std::vector<Row> all_victims;
     bool counted_replicated = false;
     for (int n = 0; n < db_->num_nodes(); ++n) {
+      // Replicated: every UP replica scans and applies the delete.
+      // Segmented: the scan cost falls on the segment's serving copy and
+      // the delete marks land on every live copy.
+      if (replicated && !db_->node_up(n)) continue;
+      Database::SegmentCopy read_copy;
       if (replicated) {
-        // Every UP replica applies the delete; count each logical row
-        // once, from the first replica that is actually UP.
-        if (!db_->node_up(n)) continue;
-        storage::SegmentStore* store = storage->per_node[n].get();
-        FABRIC_ASSIGN_OR_RETURN(int64_t visible_count,
-                                store->CountVisible(snapshot, wt.txn));
-        DataProfile scanned;
-        scanned.rows = static_cast<double>(visible_count);
-        scanned.ScaleBy(db_->EffectiveScale(def->name));
-        FABRIC_RETURN_IF_ERROR(net::RunCpu(self, db_->network(),
-                                           db_->node_host(n),
-                                           scanned.ScanCpu(cost)));
-        FABRIC_ASSIGN_OR_RETURN(
-            int64_t deleted,
-            store->MarkDeletedPending(
-                spec, counted_replicated ? nullptr : &all_victims));
-        if (!counted_replicated) {
-          affected += deleted;
-          counted_replicated = true;
-        }
+        read_copy = Database::SegmentCopy{storage->per_node[n].get(), n};
       } else {
-        // Scan cost on the segment's serving copy; the delete marks land
-        // on every live copy.
-        FABRIC_ASSIGN_OR_RETURN(Database::SegmentCopy read_copy,
-                                db_->ReadCopy(storage, n));
-        FABRIC_ASSIGN_OR_RETURN(
-            int64_t visible_count,
-            read_copy.store->CountVisible(snapshot, wt.txn));
-        DataProfile scanned;
-        scanned.rows = static_cast<double>(visible_count);
-        scanned.ScaleBy(db_->EffectiveScale(def->name));
-        FABRIC_RETURN_IF_ERROR(
-            net::RunCpu(self, db_->network(),
-                        db_->node_host(read_copy.host),
-                        scanned.ScanCpu(cost)));
-        FABRIC_ASSIGN_OR_RETURN(std::vector<Database::SegmentCopy> writes,
-                                db_->WriteCopies(storage, n));
-        int64_t deleted = -1;
-        for (const Database::SegmentCopy& copy : writes) {
-          FABRIC_ASSIGN_OR_RETURN(
-              int64_t d,
-              copy.store->MarkDeletedPending(
-                  spec, deleted < 0 ? &all_victims : nullptr));
-          if (deleted < 0) {
-            deleted = d;
-          } else {
-            FABRIC_CHECK(d == deleted) << "buddy copies diverged";
-          }
-        }
+        FABRIC_ASSIGN_OR_RETURN(read_copy, db_->ReadCopy(storage, n));
+      }
+      FABRIC_ASSIGN_OR_RETURN(
+          int64_t visible_count,
+          read_copy.store->CountVisible(snapshot, wt.txn));
+      DataProfile scanned;
+      scanned.rows = static_cast<double>(visible_count);
+      scanned.ScaleBy(db_->EffectiveScale(def->name));
+      FABRIC_RETURN_IF_ERROR(net::RunCpu(self, db_->network(),
+                                         db_->node_host(read_copy.host),
+                                         scanned.ScanCpu(cost)));
+      std::vector<Database::SegmentCopy> writes = {read_copy};
+      if (!replicated) {
+        FABRIC_ASSIGN_OR_RETURN(writes, db_->WriteCopies(storage, n));
+      }
+      // Count each logical row once: every segment, but only the first
+      // replica that is actually UP.
+      bool count = !replicated || !counted_replicated;
+      FABRIC_ASSIGN_OR_RETURN(
+          int64_t deleted,
+          Database::MarkCopies(writes, count ? &all_victims : nullptr,
+                               [&spec](const Database::SegmentCopy& copy,
+                                       std::vector<Row>* capture) {
+                                 return copy.store->MarkDeletedPending(
+                                     spec, capture);
+                               }));
+      if (count) {
         affected += deleted;
+        counted_replicated = true;
       }
     }
     // Keep every projection's view of the table in lockstep with the
@@ -1399,7 +1265,7 @@ Result<QueryResult> LocalSelect(const std::vector<Row>& rows,
         }
         continue;
       }
-      out_columns.push_back({ItemName(item, static_cast<int>(i)),
+      out_columns.push_back({sql::SelectItemName(item, static_cast<int>(i)),
                              InferType(*item.expr, schema)});
       exprs.push_back(item.expr.get());
     }
@@ -1661,25 +1527,21 @@ Result<QueryResult> Session::SystemTable(
       if (!proj.ok()) continue;
       const ProjectionDef& p = **proj;
       auto join_names = [&p](const std::vector<int>& cols) {
-        std::string out;
-        for (int c : cols) {
-          if (!out.empty()) out += ",";
-          out += p.schema.column(c).name;
-        }
-        return out;
+        std::vector<std::string> names;
+        for (int c : cols) names.push_back(p.schema.column(c).name);
+        return Join(names, ",");
       };
       std::vector<int> all_columns(p.schema.num_columns());
       for (int c = 0; c < p.schema.num_columns(); ++c) all_columns[c] = c;
-      std::string encodings;
+      std::vector<std::string> encodings;
       for (storage::Encoding e : p.encodings) {
-        if (!encodings.empty()) encodings += ",";
-        encodings += storage::EncodingName(e);
+        encodings.push_back(storage::EncodingName(e));
       }
       result.rows.push_back(
           {Value::Varchar(p.name), Value::Varchar(p.anchor),
            Value::Varchar(join_names(all_columns)),
            Value::Varchar(join_names(p.sort_columns)),
-           Value::Varchar(encodings),
+           Value::Varchar(Join(encodings, ",")),
            Value::Bool(!p.segmentation.unsegmented()),
            Value::Varchar(join_names(p.segmentation.columns)),
            Value::Int64(static_cast<int64_t>(p.create_epoch))});
@@ -1754,21 +1616,13 @@ Result<QueryResult> Session::SystemTable(
                             {"strategy", DataType::kVarchar},
                             {"started_at", DataType::kFloat64},
                             {"duration_seconds", DataType::kFloat64}});
-    auto csv = [](const std::vector<std::string>& names) {
-      std::string out;
-      for (const std::string& name : names) {
-        if (!out.empty()) out += ",";
-        out += name;
-      }
-      return out;
-    };
     for (const QueryRequest& request : db_->query_requests()) {
       result.rows.push_back(
           {Value::Int64(request.request_id), Value::Varchar(request.table),
            Value::Varchar(request.join_table),
-           Value::Varchar(csv(request.referenced)),
-           Value::Varchar(csv(request.group_by)),
-           Value::Varchar(csv(request.join_keys)),
+           Value::Varchar(Join(request.referenced, ",")),
+           Value::Varchar(Join(request.group_by, ",")),
+           Value::Varchar(Join(request.join_keys, ",")),
            Value::Bool(request.aggregate), Value::Varchar(request.pool),
            Value::Varchar(request.strategy),
            Value::Float64(request.started_at),
@@ -1785,20 +1639,12 @@ Result<QueryResult> Session::SystemTable(
                             {"benefit", DataType::kFloat64},
                             {"storage_bytes", DataType::kFloat64},
                             {"ddl", DataType::kVarchar}});
-    auto csv = [](const std::vector<std::string>& names) {
-      std::string out;
-      for (const std::string& name : names) {
-        if (!out.empty()) out += ",";
-        out += name;
-      }
-      return out;
-    };
     for (const designer::Proposal& proposal : db_->design_proposals()) {
       result.rows.push_back(
           {Value::Varchar(proposal.name), Value::Varchar(proposal.anchor),
-           Value::Varchar(csv(proposal.columns)),
-           Value::Varchar(csv(proposal.sort_columns)),
-           Value::Varchar(csv(proposal.segment_columns)),
+           Value::Varchar(Join(proposal.columns, ",")),
+           Value::Varchar(Join(proposal.sort_columns, ",")),
+           Value::Varchar(Join(proposal.segment_columns, ",")),
            Value::Float64(proposal.benefit),
            Value::Float64(proposal.storage_bytes),
            Value::Varchar(proposal.ddl)});

@@ -23,6 +23,7 @@
 #include "obs/trace_matcher.h"
 #include "sim/engine.h"
 #include "spark/dataframe.h"
+#include "vertica/copy_stream.h"
 #include "vertica/database.h"
 #include "vertica/ksafety/ksafety.h"
 #include "vertica/session.h"
@@ -472,6 +473,213 @@ TEST_F(KSafetyTest, LosingBothCopiesOfASegmentShutsTheClusterDown) {
     EXPECT_EQ(db_->RestartNode(1).code(),
               StatusCode::kFailedPrecondition);
   });
+}
+
+// -------------------------------------------------------- write placement
+
+// Asserts every physical copy of `layout` (a table, or a projection when
+// `projection`) holds exactly the images of `anchor_rows` its segment
+// owns: each live copy all of them, a copy on `down` none (-1: every
+// node UP).
+void ExpectPlacement(Database& db, const std::string& layout,
+                     bool projection, const std::vector<Row>& anchor_rows,
+                     int down) {
+  SCOPED_TRACE(layout);
+  Database::SegmentSet* set = nullptr;
+  Segmentation segmentation;
+  std::vector<Row> image = anchor_rows;
+  if (projection) {
+    auto def = db.catalog().GetProjection(layout);
+    auto storage = db.GetProjectionStorage(layout);
+    ASSERT_TRUE(def.ok() && storage.ok());
+    set = *storage;
+    segmentation = (*def)->segmentation;
+    image = (*def)->Project(anchor_rows);
+  } else {
+    auto def = db.catalog().GetTable(layout);
+    auto storage = db.GetStorage(layout);
+    ASSERT_TRUE(def.ok() && storage.ok());
+    set = *storage;
+    segmentation = (*def)->segmentation;
+  }
+  const int nodes = db.num_nodes();
+  std::vector<std::vector<Row>> owned(nodes);
+  for (const Row& row : image) {
+    int owner = db.OwnerNode(segmentation, row);
+    for (int n = 0; n < nodes; ++n) {
+      if (owner < 0 || owner == n) owned[n].push_back(row);
+    }
+  }
+  auto held = [&db](storage::SegmentStore* store) {
+    auto rows = store->SnapshotRows(db.current_epoch());
+    EXPECT_TRUE(rows.ok()) << rows.status();
+    return rows.ok() ? ContentsOf(*rows) : std::multiset<std::string>{};
+  };
+  auto expected = [&](int segment, int host) {
+    return host == down ? std::multiset<std::string>{}
+                        : ContentsOf(owned[segment]);
+  };
+  for (int s = 0; s < nodes; ++s) {
+    EXPECT_EQ(held(set->per_node[s].get()), expected(s, s))
+        << "segment " << s << " primary";
+    if (!segmentation.unsegmented()) {
+      EXPECT_EQ(held(set->buddy[s].get()), expected(s, db.buddy_node(s)))
+          << "segment " << s << " buddy";
+    }
+  }
+}
+
+// Every segment's copies (primary and buddy, or every replica) carry the
+// same content fingerprint.
+void ExpectFingerprintsAgree(Database::SegmentSet* set) {
+  for (size_t s = 0; s < set->per_node.size(); ++s) {
+    storage::SegmentStore* twin = set->buddy.empty()
+                                      ? set->per_node[0].get()
+                                      : set->buddy[s].get();
+    EXPECT_EQ(set->per_node[s]->ContentFingerprint(),
+              twin->ContentFingerprint())
+        << "segment " << s << " diverged";
+  }
+}
+
+// INSERT, INSERT DIRECT, COPY (WOS and DIRECT), CREATE PROJECTION's
+// populate and projection maintenance on INSERT and COPY, each against a
+// segmented and a replicated anchor carrying a segmented and a replicated
+// projection, with one seeded node down: every row lands on exactly the
+// live copies of its owner segment, the down replica is skipped, and
+// recovery brings every copy back in line.
+TEST_F(KSafetyTest, WritesLandOnlyOnTheirSegmentsLiveCopies) {
+  const std::vector<std::string> anchors = {"seg", "rep"};
+  auto projections_of = [](const std::string& anchor) {
+    return std::vector<std::string>{anchor + "_by_score",
+                                    anchor + "_everywhere"};
+  };
+  for (uint64_t seed : PropertySeeds()) {
+    SCOPED_TRACE(StrCat("seed=", seed));
+    Rng rng(seed);
+    const int down = static_cast<int>(rng.NextUint64(4));
+    const int client =
+        (down + 1 + static_cast<int>(rng.NextUint64(3))) % 4;
+    sim::Engine engine;
+    net::Network network(&engine);
+    Database::Options vopts;
+    vopts.num_nodes = 4;
+    Database db(&engine, &network, vopts);
+
+    int next_id = 0;
+    auto make_rows = [&] {
+      std::vector<Row> rows;
+      int64_t count = rng.NextInt64(1, 12);
+      for (int64_t i = 0; i < count; ++i) {
+        rows.push_back({Value::Int64(next_id++),
+                        Value::Float64(rng.NextInt64(0, 20) + 0.5)});
+      }
+      return rows;
+    };
+    auto values_of = [](const std::vector<Row>& rows) {
+      std::string values;
+      for (const Row& row : rows) {
+        values += StrCat(values.empty() ? "" : ", ", "(",
+                         row[0].int64_value(), ", ",
+                         row[1].ToDisplayString(), ")");
+      }
+      return values;
+    };
+    std::vector<Row> written;
+
+    engine.Spawn("driver", [&](sim::Process& driver) {
+      auto session = db.Connect(driver, client, nullptr);
+      ASSERT_TRUE(session.ok()) << session.status();
+      auto exec = [&](const std::string& sql) {
+        auto result = (*session)->Execute(driver, sql);
+        EXPECT_TRUE(result.ok()) << sql << ": " << result.status();
+      };
+      auto insert = [&](const std::string& verb) {
+        std::vector<Row> rows = make_rows();
+        for (const std::string& anchor : anchors) {
+          exec(StrCat(verb, " INTO ", anchor, " VALUES ", values_of(rows)));
+        }
+        written.insert(written.end(), rows.begin(), rows.end());
+      };
+      auto copy = [&](bool direct) {
+        std::vector<Row> rows = make_rows();
+        for (const std::string& anchor : anchors) {
+          CopyStream::Options options;
+          options.direct = direct;
+          auto stream =
+              CopyStream::Open(driver, session->get(), anchor, options);
+          ASSERT_TRUE(stream.ok()) << stream.status();
+          ASSERT_TRUE((*stream)->WriteBatch(driver, rows).ok());
+          auto loaded = (*stream)->Finish(driver);
+          ASSERT_TRUE(loaded.ok()) << loaded.status();
+          EXPECT_EQ(loaded->loaded, static_cast<int64_t>(rows.size()));
+        }
+        written.insert(written.end(), rows.begin(), rows.end());
+      };
+
+      exec("CREATE TABLE seg (id INTEGER, score FLOAT) "
+           "SEGMENTED BY HASH(id) ALL NODES");
+      exec("CREATE TABLE rep (id INTEGER, score FLOAT) "
+           "UNSEGMENTED ALL NODES");
+      ASSERT_TRUE(db.KillNode(down).ok());
+      ASSERT_FALSE(db.cluster_is_down());
+
+      insert("INSERT");
+      for (const std::string& anchor : anchors) {
+        exec(StrCat("CREATE PROJECTION ", anchor, "_by_score AS SELECT "
+                    "score, id FROM ", anchor,
+                    " ORDER BY score SEGMENTED BY HASH(score) ALL NODES"));
+        exec(StrCat("CREATE PROJECTION ", anchor, "_everywhere AS SELECT "
+                    "id FROM ", anchor, " ORDER BY id UNSEGMENTED ALL NODES"));
+      }
+      insert("INSERT");
+      insert("INSERT /*+ DIRECT */");
+      copy(/*direct=*/false);
+      copy(/*direct=*/true);
+
+      for (const std::string& anchor : anchors) {
+        ExpectPlacement(db, anchor, false, written, down);
+        for (const std::string& proj : projections_of(anchor)) {
+          ExpectPlacement(db, proj, true, written, down);
+        }
+      }
+
+      ASSERT_TRUE(db.RestartNode(down).ok());
+      ASSERT_TRUE(db.WaitForNodeState(driver, down, NodeState::kUp).ok());
+      for (const std::string& anchor : anchors) {
+        ExpectPlacement(db, anchor, false, written, -1);
+        ExpectFingerprintsAgree(*db.GetStorage(anchor));
+        for (const std::string& proj : projections_of(anchor)) {
+          ExpectPlacement(db, proj, true, written, -1);
+          ExpectFingerprintsAgree(*db.GetProjectionStorage(proj));
+        }
+      }
+      ASSERT_TRUE((*session)->Close(driver).ok());
+
+      // Losing both copies of a segment: a segmented write has no copy
+      // left to reach; a replicated one skips every down replica.
+      ASSERT_TRUE(db.KillNode(down).ok());
+      ASSERT_TRUE(db.KillNode(db.buddy_node(down)).ok());
+      ASSERT_TRUE(db.cluster_is_down());
+      for (const std::string& anchor : anchors) {
+        auto def = db.catalog().GetTable(anchor);
+        ASSERT_TRUE(def.ok());
+        storage::TxnId txn = db.BeginTxnInternal();
+        Status status = db.WriteSegments(
+            driver, *db.GetStorage(anchor), (*def)->segmentation, anchor,
+            make_rows(), txn, client, 1.0, /*direct=*/false,
+            Database::LoadCpu::kSortEncode);
+        db.AbortTxnInternal(txn);
+        if (anchor == "seg") {
+          EXPECT_EQ(status.code(), StatusCode::kUnavailable) << status;
+        } else {
+          EXPECT_TRUE(status.ok()) << status;
+        }
+      }
+    });
+    Status status = engine.Run();
+    ASSERT_TRUE(status.ok()) << status;
+  }
 }
 
 // ------------------------------------------------------------- connectors
